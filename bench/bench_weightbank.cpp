@@ -64,9 +64,11 @@ BENCHMARK(BM_ChunkHash);
 void BM_BankPutFirstSeen(benchmark::State& state) {
   WeightBank bank(WeightBank::Backend::kMemory);
   long member = 0;
-  for (auto _ : state)
+  for (auto _ : state) {
+    const long m = member++;
     benchmark::DoNotOptimize(
-        bank.put("k" + std::to_string(member), synthetic_ckpt(static_cast<int>(member++), 0, 4)));
+        bank.put("k" + std::to_string(m), synthetic_ckpt(static_cast<int>(m), 0, 4)));
+  }
   state.SetLabel("4 distinct 16KiB tensors/put");
 }
 BENCHMARK(BM_BankPutFirstSeen)->Unit(benchmark::kMicrosecond);

@@ -1,6 +1,6 @@
-// Little-endian wire primitives shared by the checkpoint codec and the SWH5
-// container format.  Writer appends into a byte buffer; Reader consumes one
-// with hard bounds checks (truncation throws).
+// Little-endian wire primitives shared by the checkpoint codec and the weight
+// bank's chunk and manifest frames.  Writer appends into a byte buffer;
+// Reader consumes one with hard bounds checks (truncation throws).
 #pragma once
 
 #include <cstdint>

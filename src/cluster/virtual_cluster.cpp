@@ -113,10 +113,9 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
       tracer.name_track(kTraceVirtualPid, w, "worker " + std::to_string(w));
   }
   EventBus& bus = EventBus::global();
-  bus.emit(EventType::kRunStarted, cfg.clock_origin, -1, -1,
+  bus.emit(EventType::kRunStarted, 0.0, -1, -1,
            {{"n_evals", std::to_string(n_evals)},
-            {"workers", std::to_string(cfg.num_workers)},
-            {"first_eval_id", std::to_string(cfg.first_eval_id)}});
+            {"workers", std::to_string(cfg.num_workers)}});
   // Quality statistics cost O(completed evals) per completion (the
   // incremental Kendall scan); skip them entirely when nothing consumes
   // the result.
@@ -125,12 +124,11 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   double busy_seconds = 0.0;      // worker-seconds spent on attempts
   double recovery_seconds = 0.0;  // worker-seconds lost to crash recovery
 
-  std::vector<double> worker_free(static_cast<std::size_t>(cfg.num_workers),
-                                  cfg.clock_origin);
+  std::vector<double> worker_free(static_cast<std::size_t>(cfg.num_workers), 0.0);
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> in_flight;
   std::deque<Resubmit> resubmit;                       // crashed, awaiting retry
   std::unordered_map<long, double> ckpt_available_at;  // by evaluation id
-  double clock = cfg.clock_origin;
+  double clock = 0.0;
   long submitted = 0;  // fresh proposals issued (resubmissions reuse their id)
   long finished = 0;   // completed records + permanently lost evaluations
 
@@ -314,7 +312,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
         resubmit.pop_front();
       } else {
         proposal = strategy.propose(rng);
-        id = cfg.first_eval_id + submitted;
+        id = submitted;
         ++submitted;
         bus.emit(EventType::kEvalSubmitted, clock, -1, id);
       }
@@ -448,7 +446,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
 
   if (metrics_enabled()) {
     MetricsRegistry& m = metrics();
-    const double wall = (trace.makespan - cfg.clock_origin) * cfg.num_workers;
+    const double wall = trace.makespan * cfg.num_workers;
     m.gauge("cluster.worker_busy_seconds").add(busy_seconds);
     m.gauge("cluster.worker_recovery_seconds").add(recovery_seconds);
     m.gauge("cluster.worker_idle_seconds")

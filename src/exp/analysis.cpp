@@ -1,9 +1,6 @@
 #include "exp/analysis.hpp"
 
 #include <algorithm>
-#include <limits>
-
-#include "common/stats.hpp"
 
 namespace swt {
 
@@ -56,44 +53,6 @@ ParentChildStats parent_child_stats(const Trace& trace) {
   }
   if (s.pairs > 0) s.mean_delta = delta_sum / s.pairs;
   return s;
-}
-
-std::vector<ParetoPoint> pareto_front(const Trace& trace) {
-  // Deduplicate by architecture, keeping each architecture's best score.
-  std::map<std::uint64_t, ParetoPoint> best;
-  for (const auto& r : trace.records) {
-    const std::uint64_t h = arch_hash(r.arch);
-    const auto it = best.find(h);
-    if (it == best.end() || r.score > it->second.score)
-      best[h] = ParetoPoint{r.id, r.arch, r.score, r.param_count};
-  }
-  std::vector<ParetoPoint> points;
-  points.reserve(best.size());
-  for (auto& [h, p] : best) points.push_back(std::move(p));
-  // Sort by params ascending, score descending; then a single sweep keeps
-  // points whose score strictly improves on everything smaller.
-  std::sort(points.begin(), points.end(), [](const ParetoPoint& a, const ParetoPoint& b) {
-    if (a.param_count != b.param_count) return a.param_count < b.param_count;
-    return a.score > b.score;
-  });
-  std::vector<ParetoPoint> front;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (auto& p : points) {
-    if (p.score > best_score) {
-      best_score = p.score;
-      front.push_back(std::move(p));
-    }
-  }
-  return front;
-}
-
-std::map<int, double> mean_score_by_depth(const Trace& trace) {
-  const auto depth = lineage_depths(trace);
-  std::map<int, RunningStats> buckets;
-  for (const auto& r : trace.records) buckets[depth.at(r.id)].add(r.score);
-  std::map<int, double> out;
-  for (const auto& [d, stats] : buckets) out[d] = stats.mean();
-  return out;
 }
 
 prof::CriticalPathInput critical_path_input(const Trace& trace) {

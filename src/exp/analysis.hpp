@@ -8,7 +8,6 @@
 #pragma once
 
 #include <map>
-#include <vector>
 
 #include "cluster/virtual_cluster.hpp"
 #include "obs/prof/critical_path.hpp"
@@ -41,24 +40,6 @@ struct ParentChildStats {
 
 /// Score deltas between each transferred child and its provider.
 [[nodiscard]] ParentChildStats parent_child_stats(const Trace& trace);
-
-/// Mean score of records bucketed by lineage depth (depth -> mean score);
-/// rising means confirm the accumulated-training explanation.
-[[nodiscard]] std::map<int, double> mean_score_by_depth(const Trace& trace);
-
-/// One candidate on the score/complexity plane (Table IV's trade-off:
-/// "the user may also prefer simpler models with acceptable objective
-/// metrics").
-struct ParetoPoint {
-  long id = -1;
-  ArchSeq arch;
-  double score = 0.0;
-  std::int64_t param_count = 0;
-};
-
-/// Non-dominated set maximising score and minimising parameter count,
-/// deduplicated by architecture and sorted by ascending parameter count.
-[[nodiscard]] std::vector<ParetoPoint> pareto_front(const Trace& trace);
 
 /// Critical-path input rebuilt from a trace (CSV or in-memory).  The
 /// per-phase decomposition mirrors the virtual cluster's span emission

@@ -85,17 +85,6 @@ struct NasRun {
 /// One NAS run of `cfg.n_evals` candidates with regularized evolution.
 [[nodiscard]] NasRun run_nas(const AppConfig& app, const NasRunConfig& cfg);
 
-/// Continue a completed run for `additional_evals` more candidates:
-/// the evolution population is reconstructed by replaying the previous
-/// trace's outcomes (in completion order), evaluation ids and the virtual
-/// clock continue where they left off, and the checkpoint store is reused,
-/// so providers from before the restart stay available — the restartable-
-/// search workflow of DeepHyper-style NAS services.  The continuation is a
-/// valid search but not bit-identical to an uninterrupted longer run (the
-/// strategy RNG restarts from cfg.seed+trace length).
-[[nodiscard]] NasRun resume_nas(const AppConfig& app, const NasRunConfig& cfg,
-                                NasRun previous, long additional_evals);
-
 /// Top-K records by score, deduplicated by architecture (evolution can
 /// re-evaluate an architecture; the paper's top-10 are distinct models).
 [[nodiscard]] std::vector<EvalRecord> top_k(const Trace& trace, std::size_t k);

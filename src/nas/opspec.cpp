@@ -59,28 +59,6 @@ OpSpec OpSpec::maxpool1d(std::int64_t pool, std::int64_t stride) {
   return s;
 }
 
-OpSpec OpSpec::avgpool2d(std::int64_t pool, std::int64_t stride) {
-  OpSpec s;
-  s.kind = OpKind::kAvgPool2D;
-  s.pool = pool;
-  s.stride = stride;
-  return s;
-}
-
-OpSpec OpSpec::avgpool1d(std::int64_t pool, std::int64_t stride) {
-  OpSpec s;
-  s.kind = OpKind::kAvgPool1D;
-  s.pool = pool;
-  s.stride = stride;
-  return s;
-}
-
-OpSpec OpSpec::global_avgpool2d() {
-  OpSpec s;
-  s.kind = OpKind::kGlobalAvgPool2D;
-  return s;
-}
-
 OpSpec OpSpec::batchnorm() {
   OpSpec s;
   s.kind = OpKind::kBatchNorm;
@@ -125,9 +103,6 @@ std::string OpSpec::to_string() const {
       break;
     case OpKind::kMaxPool2D: os << "MaxPool2D(" << pool << ", s" << stride << ")"; break;
     case OpKind::kMaxPool1D: os << "MaxPool1D(" << pool << ", s" << stride << ")"; break;
-    case OpKind::kAvgPool2D: os << "AvgPool2D(" << pool << ", s" << stride << ")"; break;
-    case OpKind::kAvgPool1D: os << "AvgPool1D(" << pool << ", s" << stride << ")"; break;
-    case OpKind::kGlobalAvgPool2D: os << "GlobalAvgPool2D"; break;
     case OpKind::kBatchNorm: os << "BatchNorm"; break;
     case OpKind::kDropout: os << "Dropout(" << rate << ")"; break;
     case OpKind::kActivation: os << "Activation(" << swt::to_string(act) << ")"; break;
@@ -197,35 +172,6 @@ void instantiate_op(const OpSpec& spec, const std::string& name, Shape& io_shape
       if (olen <= 0) return;
       out.push_back(std::make_unique<MaxPool1D>(spec.pool, spec.stride));
       io_shape = Shape{olen, io_shape[1]};
-      return;
-    }
-    case OpKind::kAvgPool2D: {
-      if (io_shape.rank() != 3)
-        throw std::invalid_argument("instantiate_op: AvgPool2D on non-image shape " +
-                                    io_shape.to_string());
-      const std::int64_t oh = pool_out_extent(io_shape[0], spec.pool, spec.stride);
-      const std::int64_t ow = pool_out_extent(io_shape[1], spec.pool, spec.stride);
-      if (oh <= 0 || ow <= 0) return;  // guardrail: window no longer fits
-      out.push_back(std::make_unique<AvgPool2D>(spec.pool, spec.stride));
-      io_shape = Shape{oh, ow, io_shape[2]};
-      return;
-    }
-    case OpKind::kAvgPool1D: {
-      if (io_shape.rank() != 2)
-        throw std::invalid_argument("instantiate_op: AvgPool1D on non-sequence shape " +
-                                    io_shape.to_string());
-      const std::int64_t olen = pool_out_extent(io_shape[0], spec.pool, spec.stride);
-      if (olen <= 0) return;
-      out.push_back(std::make_unique<AvgPool1D>(spec.pool, spec.stride));
-      io_shape = Shape{olen, io_shape[1]};
-      return;
-    }
-    case OpKind::kGlobalAvgPool2D: {
-      // Guardrail: on an already-flattened stack there is nothing spatial
-      // left to pool; degrade to identity like the other pool guards.
-      if (io_shape.rank() != 3) return;
-      out.push_back(std::make_unique<GlobalAvgPool2D>());
-      io_shape = Shape{io_shape[2]};
       return;
     }
     case OpKind::kBatchNorm:

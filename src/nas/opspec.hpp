@@ -22,9 +22,6 @@ enum class OpKind {
   kConv1D,
   kMaxPool2D,
   kMaxPool1D,
-  kAvgPool2D,
-  kAvgPool1D,
-  kGlobalAvgPool2D,
   kBatchNorm,
   kDropout,
   kActivation,
@@ -53,9 +50,6 @@ struct OpSpec {
   [[nodiscard]] static OpSpec conv1d(std::int64_t filters, std::int64_t kernel, Padding pad);
   [[nodiscard]] static OpSpec maxpool2d(std::int64_t pool, std::int64_t stride);
   [[nodiscard]] static OpSpec maxpool1d(std::int64_t pool, std::int64_t stride);
-  [[nodiscard]] static OpSpec avgpool2d(std::int64_t pool, std::int64_t stride);
-  [[nodiscard]] static OpSpec avgpool1d(std::int64_t pool, std::int64_t stride);
-  [[nodiscard]] static OpSpec global_avgpool2d();
   [[nodiscard]] static OpSpec batchnorm();
   [[nodiscard]] static OpSpec dropout(double rate);
   [[nodiscard]] static OpSpec activation(ActKind act);

@@ -22,12 +22,6 @@ namespace swt {
 /// Dropout.  9 VNs.  Input (length, 1), 2 classes.
 [[nodiscard]] SearchSpace make_nt3_space(std::int64_t length = 96);
 
-/// Extended CIFAR variant (not part of the paper's evaluation; demonstrates
-/// search-space extensibility): pooling VNs choose between max- and
-/// average-pooling, and the classifier head is GlobalAvgPool2D + Dense
-/// instead of Flatten + Dense.  Same 21-VN structure as make_cifar_space.
-[[nodiscard]] SearchSpace make_cifar_space_ext(std::int64_t hw = 8);
-
 /// Uno-like: three towers of 3 VNs (inputs: dose=1, gene, drug) whose
 /// outputs concatenate with a raw fourth input (extra), then a 4-VN trunk
 /// and a Dense(1) head.  13 VNs; every VN draws from the SAME choice set

@@ -27,8 +27,6 @@ class Adam {
 
   [[nodiscard]] std::int64_t iterations() const noexcept { return t_; }
   [[nodiscard]] const AdamConfig& config() const noexcept { return cfg_; }
-  /// Adjust the learning rate between steps (for schedules).
-  void set_lr(double lr) noexcept { cfg_.lr = lr; }
 
  private:
   AdamConfig cfg_;

@@ -39,42 +39,4 @@ class MaxPool1D final : public Layer {
   std::vector<std::int64_t> argmax_;
 };
 
-/// Average pooling over (size x size) windows, valid padding.
-class AvgPool2D final : public Layer {
- public:
-  AvgPool2D(std::int64_t size, std::int64_t stride);
-
-  [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor backward(const Tensor& dy) override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  std::int64_t size_, stride_;
-  Shape in_shape_;
-};
-
-class AvgPool1D final : public Layer {
- public:
-  AvgPool1D(std::int64_t size, std::int64_t stride);
-
-  [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor backward(const Tensor& dy) override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  std::int64_t size_, stride_;
-  Shape in_shape_;
-};
-
-/// (N, H, W, C) -> (N, C): mean over all spatial positions.
-class GlobalAvgPool2D final : public Layer {
- public:
-  [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor backward(const Tensor& dy) override;
-  [[nodiscard]] std::string describe() const override { return "GlobalAvgPool2D"; }
-
- private:
-  Shape in_shape_;
-};
-
 }  // namespace swt

@@ -14,31 +14,6 @@ const char* to_string(ObjectiveKind o) noexcept {
   return o == ObjectiveKind::kAccuracy ? "ACC" : "R2";
 }
 
-const char* to_string(LrSchedule s) noexcept {
-  switch (s) {
-    case LrSchedule::kConstant: return "constant";
-    case LrSchedule::kStepDecay: return "step";
-    case LrSchedule::kCosine: return "cosine";
-  }
-  return "?";
-}
-
-double scheduled_lr(LrSchedule schedule, double base_lr, int epoch, int total_epochs,
-                    double step_decay, int step_every) {
-  switch (schedule) {
-    case LrSchedule::kConstant:
-      return base_lr;
-    case LrSchedule::kStepDecay:
-      return base_lr * std::pow(step_decay, epoch / std::max(1, step_every));
-    case LrSchedule::kCosine: {
-      if (total_epochs <= 1) return base_lr;
-      const double progress = static_cast<double>(epoch) / (total_epochs - 1);
-      return base_lr * 0.5 * (1.0 + std::cos(progress * 3.14159265358979323846));
-    }
-  }
-  return base_lr;
-}
-
 namespace {
 
 LossResult compute_loss(const Tensor& pred, const Dataset& batch) {
@@ -50,14 +25,9 @@ LossResult compute_loss(const Tensor& pred, const Dataset& batch) {
 
 TrainResult Trainer::fit(Network& net, const Dataset& train, const Dataset& val,
                          const TrainOptions& opts, Rng& rng) {
-  Adam adam(opts.adam);
-  return fit(net, adam, train, val, opts, rng);
-}
-
-TrainResult Trainer::fit(Network& net, Adam& adam, const Dataset& train,
-                         const Dataset& val, const TrainOptions& opts, Rng& rng) {
   train.check();
   val.check();
+  Adam adam(opts.adam);
   auto params = net.params();
   net.set_train_rng(&rng);
 
@@ -80,8 +50,6 @@ TrainResult Trainer::fit(Network& net, Adam& adam, const Dataset& train,
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
     const ScopedSpan epoch_span("epoch " + std::to_string(epoch), "train");
     WallTimer epoch_timer;
-    adam.set_lr(scheduled_lr(opts.lr_schedule, opts.adam.lr, epoch, opts.epochs,
-                             opts.lr_step_decay, opts.lr_step_every));
     BatchIterator batches(train.size(), opts.batch_size, rng);
     while (batches.next(batch_idx)) {
       const Dataset batch = train.subset(batch_idx);

@@ -13,25 +13,11 @@ enum class ObjectiveKind { kAccuracy, kR2 };
 
 [[nodiscard]] const char* to_string(ObjectiveKind o) noexcept;
 
-/// Per-epoch learning-rate schedules applied on top of adam.lr.
-enum class LrSchedule { kConstant, kStepDecay, kCosine };
-
-[[nodiscard]] const char* to_string(LrSchedule s) noexcept;
-
-/// Learning rate for `epoch` (0-based) of `total_epochs` under `schedule`.
-[[nodiscard]] double scheduled_lr(LrSchedule schedule, double base_lr, int epoch,
-                                  int total_epochs, double step_decay = 0.5,
-                                  int step_every = 10);
-
 struct TrainOptions {
   int epochs = 1;
   std::int64_t batch_size = 32;
   AdamConfig adam = {};
   ObjectiveKind objective = ObjectiveKind::kAccuracy;
-  /// Learning-rate schedule over epochs (constant by default, as the paper).
-  LrSchedule lr_schedule = LrSchedule::kConstant;
-  double lr_step_decay = 0.5;
-  int lr_step_every = 10;
   /// Early stopping (off when min_delta < 0).
   double early_stop_min_delta = -1.0;
   int early_stop_patience = 2;
@@ -50,12 +36,6 @@ class Trainer {
   /// validating on `val` after every epoch.  `rng` drives batch shuffling
   /// and dropout; it is the only source of randomness.
   [[nodiscard]] static TrainResult fit(Network& net, const Dataset& train,
-                                       const Dataset& val, const TrainOptions& opts,
-                                       Rng& rng);
-
-  /// Continue training with an existing optimizer state (used when full
-  /// training resumes from a transferred checkpoint).
-  [[nodiscard]] static TrainResult fit(Network& net, Adam& adam, const Dataset& train,
                                        const Dataset& val, const TrainOptions& opts,
                                        Rng& rng);
 

@@ -77,15 +77,14 @@ std::size_t SampleRing::drain(std::vector<Sample>& out) {
 
 // ---------------------------------------------------------------------------
 // Thread registry: a fixed arena of slots.  Slots (and their rings) are
-// never deallocated, so a late signal can never touch freed memory; a
-// parked slot is recycled for the next registering thread only after the
-// collector takes its final drain.
+// never deallocated, so a late signal can never touch freed memory; an
+// exiting thread drains its own ring into the aggregate and frees its slot
+// for the next registering thread.
 
 namespace {
 
 constexpr int kSlotFree = 0;
 constexpr int kSlotActive = 1;
-constexpr int kSlotParked = 2;
 
 struct ThreadSlot {
   std::atomic<int> state{kSlotFree};
@@ -288,44 +287,56 @@ void register_current_thread_locked(const char* name) {
   if (g_running) arm_timer_locked(slot, g_hz, nullptr);
 }
 
-/// Drain every ring into the aggregate; recycle parked slots afterwards.
+struct DrainCounts {
+  std::uint64_t samples = 0;
+  std::uint64_t drops = 0;
+};
+
+/// Move one slot's pending samples into the aggregate.  The caller holds
+/// registry_mutex() and agg().mu.
+void drain_slot_locked(ThreadSlot& s, std::vector<SampleRing::Sample>& buf,
+                       DrainCounts& counts) {
+  buf.clear();
+  s.ring->drain(buf);
+  const std::uint64_t drops = s.ring->take_dropped();
+  for (const SampleRing::Sample& sample : buf) {
+    std::vector<std::uintptr_t> key(sample.depth);
+    for (int i = 0; i < sample.depth; ++i)
+      key[static_cast<std::size_t>(i)] = sample.pc[sample.depth - 1 - i];
+    ++agg().stacks[std::move(key)];
+  }
+  agg().total += buf.size();
+  agg().dropped += drops;
+  counts.samples += buf.size();
+  counts.drops += drops;
+}
+
+void publish_counts(const DrainCounts& counts) {
+  if (counts.samples > 0) {
+    static Counter& samples = metrics().counter("prof.samples_total");
+    samples.add(static_cast<std::int64_t>(counts.samples));
+  }
+  if (counts.drops > 0) {
+    static Counter& drops = metrics().counter("prof.samples_dropped_total");
+    drops.add(static_cast<std::int64_t>(counts.drops));
+  }
+}
+
+/// Drain every registered thread's ring into the aggregate.
 void drain_all() {
   std::vector<SampleRing::Sample> buf;
   int active = 0;
-  std::uint64_t new_samples = 0, new_drops = 0;
+  DrainCounts counts;
   {
     std::scoped_lock lk(registry_mutex(), agg().mu);
     for (ThreadSlot& s : g_slots) {
-      const int state = s.state.load(std::memory_order_acquire);
-      if (state == kSlotFree || s.ring == nullptr) continue;
-      if (state == kSlotActive) ++active;
-      buf.clear();
-      s.ring->drain(buf);
-      new_drops += s.ring->take_dropped();
-      for (const SampleRing::Sample& sample : buf) {
-        std::vector<std::uintptr_t> key(sample.depth);
-        for (int i = 0; i < sample.depth; ++i)
-          key[static_cast<std::size_t>(i)] = sample.pc[sample.depth - 1 - i];
-        ++agg().stacks[std::move(key)];
-      }
-      new_samples += buf.size();
-      if (state == kSlotParked) s.state.store(kSlotFree, std::memory_order_release);
+      if (s.state.load(std::memory_order_acquire) != kSlotActive) continue;
+      ++active;
+      drain_slot_locked(s, buf, counts);
     }
-    agg().total += new_samples;
-    agg().dropped += new_drops;
   }
-  if (new_samples > 0) {
-    static Counter& samples = metrics().counter(
-        "prof.samples_total");
-    samples.add(static_cast<std::int64_t>(new_samples));
-  }
-  if (new_drops > 0) {
-    static Counter& drops = metrics().counter(
-        "prof.samples_dropped_total");
-    drops.add(static_cast<std::int64_t>(new_drops));
-  }
-  static Gauge& threads =
-      metrics().gauge("prof.threads");
+  publish_counts(counts);
+  static Gauge& threads = metrics().gauge("prof.threads");
   threads.set(static_cast<double>(active));
 }
 
@@ -404,9 +415,18 @@ ScopedProfiledThread::~ScopedProfiledThread() {
   ThreadSlot* slot = tl_slot;
   if (slot == nullptr) return;
   tl_slot = nullptr;  // a stale in-flight signal now bails in the handler
-  std::lock_guard lk(registry_mutex());
-  disarm_timer_locked(slot);
-  slot->state.store(kSlotParked, std::memory_order_release);
+  // Take the final drain here rather than leaving it to the collector: with
+  // the profiler stopped there is no collector, and a slot left to it would
+  // stay taken for good.
+  DrainCounts counts;
+  {
+    std::scoped_lock lk(registry_mutex(), agg().mu);
+    disarm_timer_locked(slot);
+    std::vector<SampleRing::Sample> buf;
+    drain_slot_locked(*slot, buf, counts);
+    slot->state.store(kSlotFree, std::memory_order_release);
+  }
+  publish_counts(counts);
 }
 
 // ---------------------------------------------------------------------------

@@ -109,8 +109,9 @@ struct ProfilerConfig {
 /// and collector threads stay out of profiles by construction.
 void register_current_thread(const char* name);
 
-/// RAII registration for pool workers: registers on construction, disarms
-/// the timer and parks the slot on destruction.
+/// RAII registration for pool workers: registers on construction; on
+/// destruction disarms the timer, drains the thread's samples into the
+/// aggregate and frees the slot.
 class ScopedProfiledThread {
  public:
   explicit ScopedProfiledThread(const char* name);

@@ -121,8 +121,11 @@ TEST(AsyncCkptRunner, WiresThroughNasRunConfig) {
   cfg.cluster.num_workers = 2;
   cfg.cluster.async_checkpointing = true;
   const NasRun run = run_nas(app, cfg);
-  for (const auto& r : run.trace.records)
-    if (r.ckpt_bytes > 0) EXPECT_LT(r.ckpt_write_charged, r.ckpt_write_cost);
+  for (const auto& r : run.trace.records) {
+    if (r.ckpt_bytes > 0) {
+      EXPECT_LT(r.ckpt_write_charged, r.ckpt_write_cost);
+    }
+  }
 }
 
 }  // namespace

@@ -171,7 +171,9 @@ TEST_F(ClusterFixture, ScoresIndependentOfWorkerCountPerId) {
   for (const auto& r : t4.records) {
     const auto it = by_id.find(r.id);
     ASSERT_NE(it, by_id.end());
-    if (it->second->arch == r.arch) EXPECT_DOUBLE_EQ(it->second->score, r.score);
+    if (it->second->arch == r.arch) {
+      EXPECT_DOUBLE_EQ(it->second->score, r.score);
+    }
   }
 }
 

@@ -86,7 +86,9 @@ TEST_F(RunnerFixture, TopKReturnsDistinctSortedArchs) {
   std::set<std::uint64_t> hashes;
   for (std::size_t i = 0; i < top.size(); ++i) {
     EXPECT_TRUE(hashes.insert(arch_hash(top[i].arch)).second);
-    if (i > 0) EXPECT_GE(top[i - 1].score, top[i].score);
+    if (i > 0) {
+      EXPECT_GE(top[i - 1].score, top[i].score);
+    }
   }
 }
 

@@ -74,8 +74,11 @@ TEST(Sequential, ZeroGradsClearsAccumulators) {
     if (p.grad != nullptr && p.grad->sum_squares() > 0) any_nonzero = true;
   EXPECT_TRUE(any_nonzero);
   net->zero_grads();
-  for (const auto& p : net->params())
-    if (p.grad != nullptr) EXPECT_EQ(p.grad->sum_squares(), 0.0);
+  for (const auto& p : net->params()) {
+    if (p.grad != nullptr) {
+      EXPECT_EQ(p.grad->sum_squares(), 0.0);
+    }
+  }
 }
 
 TEST(Sequential, GradAccumulatesAcrossBackwards) {
@@ -205,8 +208,9 @@ TEST_F(MultiTowerFixture, BackwardPopulatesAllTowerGrads) {
   net->backward(dy);
   // At least the first dense kernel of each tower should have gradient mass.
   for (const auto& p : net->params()) {
-    if (p.name.ends_with("/d0/W") && p.grad != nullptr)
+    if (p.name.ends_with("/d0/W") && p.grad != nullptr) {
       EXPECT_GT(p.grad->sum_squares(), 0.0) << p.name;
+    }
   }
 }
 

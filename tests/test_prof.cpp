@@ -1,8 +1,8 @@
 // Performance-attribution plane (src/obs/prof): ring-buffer semantics,
 // sampling under concurrency, the counter fallback ladder, collapsed-text
 // round-trips, the critical-path analyzer on a hand-built DAG, and the
-// fork-safety contract.  Runs on a single-core host and degrades to
-// GTEST_SKIP where the kernel denies per-thread timers.
+// fork-safety contract.  Degrades to GTEST_SKIP where the kernel denies
+// per-thread timers.
 #include "obs/prof/sampler.hpp"
 
 #include <sys/types.h>
@@ -170,6 +170,39 @@ TEST(CpuProfiler, SamplesConcurrentRegisteredThreadsSignalSafely) {
   EXPECT_EQ(sym.total_samples, final_snap.total_samples);
   profiler.reset();
   EXPECT_EQ(profiler.snapshot().total_samples, 0u);
+}
+
+TEST(CpuProfiler, ThreadsExitingWhileStoppedFreeTheirSlots) {
+  // Every pool a search builds registers its workers; when they exit with
+  // the profiler stopped there is no collector to reclaim their slots, so
+  // the exiting thread must free its own.  Cycle more threads than the
+  // 128-slot arena holds, then check a fresh thread still gets sampled.
+  prof::CpuProfiler& profiler = prof::CpuProfiler::global();
+  ASSERT_FALSE(profiler.running());
+  profiler.reset();
+  for (int t = 0; t < 200; ++t)
+    std::thread([] { const prof::ScopedProfiledThread profiled("short-lived"); }).join();
+
+  std::atomic<bool> registered{false};
+  std::atomic<bool> go{false};
+  std::thread burner([&] {
+    const prof::ScopedProfiledThread profiled("late-burner");
+    registered.store(true);
+    while (!go.load()) std::this_thread::yield();
+    burn_cpu_ms(300);
+  });
+  while (!registered.load()) std::this_thread::yield();
+  if (!profiler.start(prof::ProfilerConfig{997})) {
+    go.store(true);
+    burner.join();
+    GTEST_SKIP() << "per-thread CPU timers unavailable: " << profiler.last_error();
+  }
+  go.store(true);
+  burner.join();  // the caller sleeps here, so the samples are the burner's
+  profiler.stop();
+  EXPECT_GE(profiler.snapshot().total_samples, 10u)
+      << "the late thread found no free slot and was never sampled";
+  profiler.reset();
 }
 
 TEST(CpuProfiler, ProfilingNeverPerturbsTheTrace) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 
-#include "ckpt/swh5.hpp"
 #include "common/stats.hpp"
 #include "exp/analysis.hpp"
 #include "exp/runner.hpp"
@@ -124,7 +123,7 @@ TEST_P(TraceInvariants, LineageDepthsBoundedByTraceLength) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceInvariants, ::testing::Values(1, 2, 3, 5, 8, 13));
 
 // ---------------------------------------------------------------------------
-// Serialization fuzz: random checkpoint / SWH5 trees round-trip
+// Serialization fuzz: random checkpoints round-trip
 // ---------------------------------------------------------------------------
 
 Checkpoint random_checkpoint(Rng& rng) {
@@ -172,18 +171,6 @@ TEST_P(SerializationFuzz, CompressedSizesMatchFormula) {
         encoded_size(CompressionKind::kFp16, static_cast<std::size_t>(t.value.numel()));
   }
   EXPECT_EQ(base - fp16, payload - fp16_payload);  // metadata identical
-}
-
-TEST_P(SerializationFuzz, CheckpointSurvivesSwh5Detour) {
-  Rng rng(GetParam() + 200);
-  const Checkpoint original = random_checkpoint(rng);
-  const Checkpoint back = swh5::to_checkpoint(
-      swh5::deserialize(swh5::serialize(swh5::from_checkpoint(original))));
-  ASSERT_EQ(back.tensors.size(), original.tensors.size());
-  for (std::size_t i = 0; i < original.tensors.size(); ++i) {
-    EXPECT_EQ(back.tensors[i].name, original.tensors[i].name);
-    EXPECT_EQ(back.tensors[i].value, original.tensors[i].value);
-  }
 }
 
 TEST_P(SerializationFuzz, TransferFromFuzzedCheckpointNeverCorruptsShapes) {

@@ -474,8 +474,9 @@ TEST(LiveScrape, ConcurrentScrapesDuringFaultedRunStayCoherent) {
         const std::string resp = get(port, paths[t % 4]);
         const int status = status_of(resp);
         EXPECT_TRUE(status == 200 || status == 503) << "got " << status;
-        if (std::string(paths[t % 4]) == "/metrics" && status == 200)
+        if (std::string(paths[t % 4]) == "/metrics" && status == 200) {
           EXPECT_TRUE(validate_openmetrics(body_of(resp)).ok());
+        }
         scrapes.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -160,60 +160,6 @@ TEST(Trainer, ToStringOfObjectives) {
   EXPECT_STREQ(to_string(ObjectiveKind::kR2), "R2");
 }
 
-TEST(LrScheduleTest, ConstantIsBaseLr) {
-  for (int e = 0; e < 20; ++e)
-    EXPECT_DOUBLE_EQ(scheduled_lr(LrSchedule::kConstant, 0.01, e, 20), 0.01);
-}
-
-TEST(LrScheduleTest, StepDecayHalvesEveryWindow) {
-  EXPECT_DOUBLE_EQ(scheduled_lr(LrSchedule::kStepDecay, 0.1, 0, 30, 0.5, 10), 0.1);
-  EXPECT_DOUBLE_EQ(scheduled_lr(LrSchedule::kStepDecay, 0.1, 9, 30, 0.5, 10), 0.1);
-  EXPECT_DOUBLE_EQ(scheduled_lr(LrSchedule::kStepDecay, 0.1, 10, 30, 0.5, 10), 0.05);
-  EXPECT_DOUBLE_EQ(scheduled_lr(LrSchedule::kStepDecay, 0.1, 25, 30, 0.5, 10), 0.025);
-}
-
-TEST(LrScheduleTest, CosineEndpoints) {
-  EXPECT_NEAR(scheduled_lr(LrSchedule::kCosine, 0.2, 0, 10), 0.2, 1e-12);
-  EXPECT_NEAR(scheduled_lr(LrSchedule::kCosine, 0.2, 9, 10), 0.0, 1e-12);
-  // Midpoint is half the base rate.
-  EXPECT_NEAR(scheduled_lr(LrSchedule::kCosine, 0.2, 4, 9), 0.1, 1e-12);
-  // Degenerate single-epoch schedule keeps the base rate.
-  EXPECT_DOUBLE_EQ(scheduled_lr(LrSchedule::kCosine, 0.2, 0, 1), 0.2);
-}
-
-TEST(LrScheduleTest, CosineIsMonotoneDecreasing) {
-  double prev = 1e9;
-  for (int e = 0; e < 15; ++e) {
-    const double lr = scheduled_lr(LrSchedule::kCosine, 0.3, e, 15);
-    EXPECT_LT(lr, prev + 1e-15);
-    prev = lr;
-  }
-}
-
-TEST(LrScheduleTest, TrainingWorksUnderEverySchedule) {
-  for (LrSchedule schedule :
-       {LrSchedule::kConstant, LrSchedule::kStepDecay, LrSchedule::kCosine}) {
-    const DatasetPair data = separable_2d(128, 64, 42);
-    auto net = classifier();
-    Rng rng(42);
-    net->init(rng);
-    TrainOptions opts;
-    opts.epochs = 12;
-    opts.batch_size = 16;
-    opts.adam.lr = 1e-2;
-    opts.lr_schedule = schedule;
-    opts.lr_step_every = 4;
-    const TrainResult r = Trainer::fit(*net, data.train, data.val, opts, rng);
-    EXPECT_GT(r.final_objective, 0.9) << to_string(schedule);
-  }
-}
-
-TEST(LrScheduleTest, Names) {
-  EXPECT_STREQ(to_string(LrSchedule::kConstant), "constant");
-  EXPECT_STREQ(to_string(LrSchedule::kStepDecay), "step");
-  EXPECT_STREQ(to_string(LrSchedule::kCosine), "cosine");
-}
-
 TEST(BatchIteratorTest, CoversEpochExactlyOnce) {
   Rng rng(8);
   BatchIterator it(10, 3, rng);

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "ckpt/store.hpp"
-#include "ckpt/swh5.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "exp/trace_io.hpp"
@@ -448,25 +447,6 @@ TEST(BankedStore, DiskBackendPersistsAcrossReopen) {
   EXPECT_EQ(reopened.count(), 1u);
   EXPECT_EQ(reopened.get("survivor").first.tensors[0].value,
             c.tensors[0].value);
-}
-
-// ---------------------------------------------------------------------------
-// swh5 content-hash attributes
-
-TEST(Swh5ContentHashes, AttrsMatchChunkIds) {
-  const Checkpoint c = ckpt_with({{"d0/W", tensor_of({2, 3}, 1.0f)},
-                                  {"d0/b", tensor_of({3}, -1.0f)}});
-  const swh5::Group plain = swh5::from_checkpoint(c);
-  EXPECT_FALSE(plain.group("model/d0").has_attr("W:content_hash"));
-  const swh5::Group hashed = swh5::from_checkpoint(c, /*with_content_hashes=*/true);
-  ASSERT_TRUE(hashed.group("model/d0").has_attr("W:content_hash"));
-  EXPECT_EQ(std::get<std::string>(hashed.group("model/d0").attr("W:content_hash")),
-            chunk_id(c.tensors[0].value).hex());
-  EXPECT_EQ(std::get<std::string>(hashed.group("model/d0").attr("b:content_hash")),
-            chunk_id(c.tensors[1].value).hex());
-  // Hashes are metadata only: the checkpoint still round-trips unchanged.
-  const Checkpoint back = swh5::to_checkpoint(hashed);
-  EXPECT_EQ(back.tensors[0].value, c.tensors[0].value);
 }
 
 // ---------------------------------------------------------------------------
