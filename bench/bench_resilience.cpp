@@ -122,13 +122,13 @@ void print_table() {
                "so their late-trace advantage over the baseline narrows with the\n"
                "fault rate but should not invert — transfer degrades gracefully.\n";
 
-  // The content-addressed bank under the same fault grid: corrupt or lost
-  // chunks read as misses (random-init fallback) exactly like flat-blob
-  // faults, while the dedup'd layout keeps PFS traffic and therefore the
+  // Bank pricing under the same fault grid: corrupt or lost chunks read as
+  // misses (random-init fallback) under either price, while charging only
+  // first-seen chunks and manifests keeps PFS traffic and therefore the
   // modelled checkpoint overhead lower (DESIGN.md "Weight bank").
-  print_banner(std::cout, "flat vs banked store under faults (LCS, " +
+  print_banner(std::cout, "full-blob vs bank price under faults (LCS, " +
                               std::to_string(evals) + " candidates)");
-  TableReport bank_table({"store", "fault rate", "best score", "fallback",
+  TableReport bank_table({"PFS price", "fault rate", "best score", "fallback",
                           "PFS MiB written", "makespan"});
   for (bool banked : {false, true}) {
     for (double rate : {0.0, 0.15}) {
@@ -148,7 +148,7 @@ void print_table() {
         mib += static_cast<double>(run.store->total_bytes_written()) / (1024.0 * 1024.0);
       }
       bank_table.add_row(
-          {banked ? "banked" : "flat", TableReport::cell_pct(rate, 0),
+          {banked ? "bank" : "full blob", TableReport::cell_pct(rate, 0),
            TableReport::cell(best.mean()),
            TableReport::cell_pct(
                completed > 0 ? static_cast<double>(fallbacks) / completed : 0.0, 1),
@@ -156,9 +156,9 @@ void print_table() {
     }
   }
   bank_table.print(std::cout);
-  std::cout << "\nExpected shape: the banked store moves fewer PFS bytes at equal\n"
+  std::cout << "\nExpected shape: the bank price moves fewer PFS bytes at equal\n"
                "fault exposure; fallback rates stay comparable (fault injection\n"
-               "sits above the store, so both layouts see the same fault draws).\n";
+               "sits above the store, so both prices see the same fault draws).\n";
 }
 
 }  // namespace

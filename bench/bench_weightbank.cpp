@@ -1,21 +1,23 @@
-// Weight-bank study: dedup ratio and PFS bytes moved, banked vs flat.
+// Weight-bank study: dedup ratio and PFS bytes moved, bank price vs the
+// paper's full-blob price.
 //
-// The flat store writes every scored candidate as an independent blob, so
-// the paper's Fig. 10/11 PFS traffic grows with population x checkpoint
-// size even when most tensor content is shared across the population
-// (retried attempts, frozen layers, warm starts).  The content-addressed
-// bank (DESIGN.md "Weight bank") stores each distinct tensor content once
-// and prices provider reads at manifest size; this binary reports the two
+// The paper writes every scored candidate as an independent blob, so its
+// Fig. 10/11 PFS traffic grows with population x checkpoint size even when
+// most tensor content is shared across the population (retried attempts,
+// frozen layers, warm starts).  The content-addressed bank (DESIGN.md
+// "Weight bank") backs every store and keeps each distinct tensor content
+// once; under bank pricing only first-seen chunks and manifests cross the
+// PFS and provider reads cost a manifest.  This binary reports the two
 // headline numbers — dedup ratio (logical / unique bytes) and PFS bytes
-// moved — on the *same seeded search* run through both layouts, plus a
+// moved — on the *same seeded search* run under both prices, plus a
 // synthetic shared-layer sweep isolating the dedup mechanism.
 //
 // Determinism gates (exit non-zero on violation, like bench_wavefront):
-//   - the flat arm's trace must be byte-identical across eval-parallelism
-//     levels (the pre-bank contract, still in force with the bank linked);
-//   - the banked arm's trace must be byte-identical across eval-parallelism
-//     levels (chunk costs are pure functions of content, so the virtual
-//     timeline cannot depend on thread interleaving).
+//   - the blob-priced arm's trace must be byte-identical across
+//     eval-parallelism levels (the pre-bank contract);
+//   - the bank-priced arm's trace must be byte-identical across
+//     eval-parallelism levels (chunk costs are pure functions of content,
+//     so the virtual timeline cannot depend on thread interleaving).
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -110,7 +112,7 @@ struct SearchArm {
   double read_charge_s = 0.0;   ///< provider lookups: where manifest pricing shows
   double write_charge_s = 0.0;
   std::size_t pfs_bytes_written = 0;
-  BankStats bank;      // zeroed for the flat arm
+  BankStats bank;
   bool banked = false;
 };
 
@@ -136,28 +138,30 @@ SearchArm run_search_arm(const AppConfig& app, long evals, bool banked,
     arm.write_charge_s += rec.ckpt_write_cost;
   }
   arm.pfs_bytes_written = run.store->total_bytes_written();
-  if (run.store->bank() != nullptr) arm.bank = run.store->bank()->stats();
+  arm.bank = run.store->bank()->stats();
   return arm;
 }
 
 /// Returns false on a determinism violation.
-bool banked_vs_flat_study() {
+bool bank_vs_blob_price_study() {
   print_repro_note("weight-bank dedup / bytes-moved study (storage-layer extension)");
   const long evals = bench_evals();
   const AppConfig app = make_app(AppId::kMnist, 1);
 
-  const SearchArm flat = run_search_arm(app, evals, false, 1);
+  const SearchArm blob = run_search_arm(app, evals, false, 1);
   const SearchArm banked = run_search_arm(app, evals, true, 1);
 
   print_banner(std::cout, "same seeded search (mnist/LCS, " + std::to_string(evals) +
-                              " candidates), flat blobs vs content-addressed bank");
-  TableReport table({"store layout", "PFS bytes written", "read-charge s",
+                              " candidates), full-blob price vs bank price");
+  TableReport table({"PFS price", "PFS bytes written", "read-charge s",
                      "write-charge s", "makespan", "dedup ratio", "chunks"});
-  table.add_row({"flat", std::to_string(flat.pfs_bytes_written),
-                 TableReport::cell(flat.read_charge_s, 3),
-                 TableReport::cell(flat.write_charge_s, 3),
-                 TableReport::cell(flat.makespan, 2), "-", "-"});
-  table.add_row({"banked", std::to_string(banked.pfs_bytes_written),
+  table.add_row({"full blob", std::to_string(blob.pfs_bytes_written),
+                 TableReport::cell(blob.read_charge_s, 3),
+                 TableReport::cell(blob.write_charge_s, 3),
+                 TableReport::cell(blob.makespan, 2),
+                 TableReport::cell(blob.bank.dedup_ratio(), 2),
+                 std::to_string(blob.bank.chunk_count)});
+  table.add_row({"bank", std::to_string(banked.pfs_bytes_written),
                  TableReport::cell(banked.read_charge_s, 3),
                  TableReport::cell(banked.write_charge_s, 3),
                  TableReport::cell(banked.makespan, 2),
@@ -165,11 +169,11 @@ bool banked_vs_flat_study() {
                  std::to_string(banked.bank.chunk_count)});
   table.print(std::cout);
   const double bytes_saved =
-      flat.pfs_bytes_written == 0
+      blob.pfs_bytes_written == 0
           ? 0.0
           : 1.0 - static_cast<double>(banked.pfs_bytes_written) /
-                      static_cast<double>(flat.pfs_bytes_written);
-  std::cout << "\nPFS bytes-moved reduction (banked vs flat): "
+                      static_cast<double>(blob.pfs_bytes_written);
+  std::cout << "\nPFS bytes-moved reduction (bank vs full-blob price): "
             << TableReport::cell_pct(bytes_saved, 1) << "\n"
             << "Banked provider reads are priced at manifest size (the chunks a\n"
                "child needs are cluster-cache hits), so the read charge drops even\n"
@@ -186,7 +190,7 @@ bool banked_vs_flat_study() {
     const SearchArm p2 = run_search_arm(app, evals, arm_banked, 2);
     const bool identical = p1.trace_csv == p2.trace_csv;
     if (!identical) ok = false;
-    gates.add_row({arm_banked ? "banked" : "flat (pre-bank contract)",
+    gates.add_row({arm_banked ? "bank price" : "full-blob price (pre-bank contract)",
                    identical ? "byte-identical" : "DIVERGED",
                    identical ? "PASS" : "FAIL"});
   }
@@ -202,5 +206,5 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   dedup_sweep();
-  return banked_vs_flat_study() ? 0 : 1;
+  return bank_vs_blob_price_study() ? 0 : 1;
 }

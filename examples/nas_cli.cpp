@@ -18,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -82,13 +83,15 @@ using namespace swt;
                "  --inject-stall-s S  duration of that injected stall (default 5)\n"
                "\n"
                "weight bank (see DESIGN.md \"Weight bank\"):\n"
-               "  --bank              store checkpoints as content-addressed per-tensor\n"
-               "                      chunks: identical tensor content dedupes to one\n"
-               "                      copy and provider reads are priced at manifest\n"
-               "                      size instead of full-blob size\n"
+               "  --bank              price checkpoint I/O by the bank's traffic: a put\n"
+               "                      moves its manifest plus first-seen chunks and a\n"
+               "                      provider read only its manifest.  Without it\n"
+               "                      every put and read moves the full blob (the\n"
+               "                      paper's price); the bank stores them either way\n"
                "  --bank-budget-mb N  LRU-evict resident chunks above N MiB (0 =\n"
-               "                      unlimited); evicted providers fall back to\n"
-               "                      random init, like a corrupt checkpoint\n"
+               "                      unlimited), with or without --bank; evicted\n"
+               "                      providers fall back to random init, like a\n"
+               "                      corrupt checkpoint\n"
                "  --warm-start-from DIR  seed this run's store and evolution population\n"
                "                      with the top checkpoints of the previous run in\n"
                "                      DIR (its trace.csv + ckpts/), so early\n"
@@ -348,8 +351,15 @@ int main(int argc, char** argv) try {
     else if (arg == "--async-ckpt") cfg.cluster.async_checkpointing = true;
     else if (arg == "--compress") compression = parse_compression(next(), argv[0]);
     else if (arg == "--bank") cfg.bank = true;
-    else if (arg == "--bank-budget-mb")
-      cfg.bank_budget_bytes = static_cast<std::size_t>(num_u64()) * 1024 * 1024;
+    else if (arg == "--bank-budget-mb") {
+      const std::string text = next();
+      const auto bytes = parse_mib(text);
+      if (!bytes.has_value())
+        reject("a non-negative MiB count of at most " +
+               std::to_string(std::numeric_limits<std::size_t>::max() >> 20) +
+               ", got '" + text + "'");
+      cfg.bank_budget_bytes = *bytes;
+    }
     else if (arg == "--warm-start-from") cfg.warm_start_dir = next();
     else if (arg == "--warm-start-k") cfg.warm_start_k = num_int();
     else if (arg == "--mtbf") cfg.cluster.faults.mtbf_seconds = num_double();
@@ -553,17 +563,15 @@ int main(int argc, char** argv) try {
             << TableReport::cell(run.trace.total_ckpt_overhead(), 2) << " virtual s\n"
             << "checkpoints stored  : " << run.store->count() << " ("
             << run.store->total_bytes_written() / 1024 << " KiB written)\n";
-  if (const WeightBank* bank = run.store->bank(); bank != nullptr) {
-    const BankStats bs = bank->stats();
-    std::cout << "weight bank         : " << bs.chunk_count << " chunks, dedup ratio "
-              << TableReport::cell(bs.dedup_ratio()) << " ("
-              << bs.unique_bytes_written / 1024 << " KiB unique of "
-              << bs.logical_bytes_written / 1024 << " KiB logical, " << bs.evicted_chunks
-              << " evicted)\n";
-    if (run.warm_start_seeded > 0)
-      std::cout << "warm start          : " << run.warm_start_seeded
-                << " checkpoints seeded from " << cfg.warm_start_dir.string() << "\n";
-  }
+  const BankStats bs = run.store->bank()->stats();
+  std::cout << "weight bank         : " << bs.chunk_count << " chunks, dedup ratio "
+            << TableReport::cell(bs.dedup_ratio()) << " ("
+            << bs.unique_bytes_written / 1024 << " KiB unique of "
+            << bs.logical_bytes_written / 1024 << " KiB logical, " << bs.evicted_chunks
+            << " evicted)\n";
+  if (run.warm_start_seeded > 0)
+    std::cout << "warm start          : " << run.warm_start_seeded
+              << " checkpoints seeded from " << cfg.warm_start_dir.string() << "\n";
   print_failure_summary(std::cout, run.trace);
 
   if (!cfg.run_dir.empty()) {

@@ -68,6 +68,18 @@ std::vector<std::byte> serialize(const Checkpoint& ckpt, CompressionKind compres
   return std::move(w.bytes());
 }
 
+std::size_t serialized_size(const Checkpoint& ckpt, CompressionKind compression) noexcept {
+  // Mirrors serialize(): magic, version, kind, score, arch length + codes,
+  // tensor count, per-tensor name/rank/dims/payload, CRC trailer.
+  constexpr std::size_t u32 = sizeof(std::uint32_t);
+  constexpr std::size_t u64 = sizeof(std::uint64_t);
+  std::size_t n = 3 * u32 + sizeof(double) + u64 + ckpt.arch.size() * u32 + u64;
+  for (const auto& t : ckpt.tensors)
+    n += u64 + t.name.size() + u64 + t.value.shape().rank() * u64 +
+         encoded_size(compression, t.value.values().size());
+  return n + u32;
+}
+
 Checkpoint deserialize(const std::vector<std::byte>& bytes) {
   if (bytes.size() < sizeof(std::uint32_t) * 3)
     throw std::runtime_error("checkpoint: stream too short");

@@ -45,6 +45,13 @@ struct Checkpoint {
 [[nodiscard]] std::vector<std::byte> serialize(
     const Checkpoint& ckpt, CompressionKind compression = CompressionKind::kNone);
 
+/// serialize(ckpt, compression).size() without encoding anything: the full
+/// blob the paper writes to (and reads back from) the PFS per candidate.
+/// Depends only on the arch length, tensor names and shapes, so a lossy
+/// round trip leaves it unchanged.
+[[nodiscard]] std::size_t serialized_size(
+    const Checkpoint& ckpt, CompressionKind compression = CompressionKind::kNone) noexcept;
+
 /// Decode; throws std::runtime_error on truncation, bad magic, version
 /// mismatch or CRC failure.
 [[nodiscard]] Checkpoint deserialize(const std::vector<std::byte>& bytes);

@@ -142,7 +142,7 @@ WeightBank::WeightBank(Backend backend, std::filesystem::path dir,
   // can a chunk file be classified as live or orphan.  A writer killed
   // between its chunk writes and its manifest write leaves exactly the
   // orphan case — the chunks are garbage-collected and the put never
-  // happened, which is the same contract the flat store's tmp+rename gives.
+  // happened.
   for (const auto& entry : std::filesystem::directory_iterator(manifests_dir)) {
     if (!entry.is_regular_file()) continue;
     const std::filesystem::path& p = entry.path();
@@ -330,7 +330,6 @@ BankPutStats WeightBank::put(const std::string& key, const Checkpoint& ckpt) {
 
   if (metrics_enabled()) {
     MetricsRegistry& reg = metrics();
-    reg.counter("bank.put_total").add();
     reg.counter("bank.dedup_chunks_total").add(
         static_cast<std::int64_t>(stats.deduped_chunks));
     reg.counter("bank.unique_bytes_total").add(
@@ -391,7 +390,6 @@ std::optional<Checkpoint> WeightBank::try_get(const std::string& key,
     chunks_[ref.id].last_used = ++tick_;
     ckpt.tensors.push_back(NamedTensor{ref.name, Tensor(Shape(ref.dims), *std::move(values))});
   }
-  if (metrics_enabled()) metrics().counter("bank.get_total").add();
   return ckpt;
 }
 

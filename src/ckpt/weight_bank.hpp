@@ -4,8 +4,8 @@
 // and reads the whole parent blob back before scoring a child, so the PFS
 // traffic of Fig. 10/11 grows with population x checkpoint size even when
 // most tensor content is shared (retried attempts, frozen layers, warm
-// starts from a previous run).  The bank replaces the flat blob with two
-// content-addressed planes:
+// starts from a previous run).  The bank, which backs every CheckpointStore,
+// keeps each checkpoint as two content-addressed planes instead:
 //
 //   chunks/    one refcounted, optionally compressed (compress.hpp) chunk
 //              per *distinct tensor content*, keyed by a 128-bit hash of the
@@ -14,10 +14,12 @@
 //              chunk hash) per tensor plus arch/score ("<key>.swtm").
 //
 // A put() only writes chunks the bank has never seen, so structurally
-// identical tensors across the population dedupe to one stored copy, and
-// the modelled PFS cost of a provider lookup is the manifest read — the
-// chunks a child needs were just written by its parent's evaluation and are
-// treated as cluster-cache hits (DESIGN.md "Weight bank").
+// identical tensors across the population dedupe to one stored copy.  Under
+// bank pricing (BankConfig in store.hpp) the modelled PFS cost of a provider
+// lookup is the manifest read — the chunks a child needs were just written
+// by its parent's evaluation and are treated as cluster-cache hits
+// (DESIGN.md "Weight bank"); otherwise the store charges the paper's
+// full-blob price on top of the same layout.
 //
 // Durability mirrors the journal: every file is CRC-32-framed over the wire
 // codec and written via fsio::atomic_write_file (tmp + fsync + rename), and

@@ -13,6 +13,9 @@ namespace swt::wire {
 
 class Writer {
  public:
+  // Starting with some capacity keeps GCC 12's -Wstringop-overflow from
+  // misfiring on the first small insert into an empty vector.
+  Writer() { buf_.reserve(256); }
   void u8(std::uint8_t v) { raw(&v, sizeof v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }

@@ -37,11 +37,10 @@ void emit_retry_events(const char* op, const std::string& key, long eval_id,
 }
 
 /// A miss on a key the store still *contains* means present-but-unreadable
-/// content: a torn flat blob, or a banked manifest whose chunk was evicted
-/// or failed its CRC.  Classify it apart from plain never-written misses —
-/// this is the bank's refetch/fallback path: the evaluator falls back to
-/// random init and a later put of the same content re-materialises the
-/// chunk.
+/// content: a manifest whose chunk was evicted or failed its CRC.  Classify
+/// it apart from plain never-written misses — this is the bank's
+/// refetch/fallback path: the evaluator falls back to random init and a
+/// later put of the same content re-materialises the chunk.
 void classify_unreadable_miss(const CheckpointStore& inner, const std::string& key,
                               long eval_id) {
   if (!inner.contains(key)) return;

@@ -51,6 +51,13 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return static_cast<std::uint64_t>(n);
 }
 
+std::optional<std::size_t> parse_mib(const std::string& text) {
+  const std::optional<std::uint64_t> mib = parse_u64(text);
+  if (!mib.has_value() || *mib > (std::numeric_limits<std::size_t>::max() >> 20))
+    return std::nullopt;
+  return static_cast<std::size_t>(*mib) << 20;
+}
+
 std::optional<double> parse_double(const std::string& text) {
   if (text.empty()) return std::nullopt;
   errno = 0;

@@ -8,6 +8,7 @@
 // turn into a proper usage error.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,6 +25,11 @@ namespace swt {
 /// Unsigned 64-bit; additionally rejects a leading '-' (strtoull would
 /// silently wrap it).
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
+
+/// A mebibyte count (parse_u64) converted to bytes; rejects counts whose
+/// byte value would not fit in std::size_t (above SIZE_MAX >> 20) instead
+/// of letting the multiplication wrap.
+[[nodiscard]] std::optional<std::size_t> parse_mib(const std::string& text);
 
 /// Finite double (rejects overflowing input and explicit "inf"/"nan": no
 /// CLI knob here means infinity).

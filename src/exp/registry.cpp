@@ -82,11 +82,15 @@ std::string config_hash(std::string_view app_name, const NasRunConfig& cfg) {
   h = hash_double(h, f.ckpt_write_fault_rate);
   h = hash_double(h, f.ckpt_read_fault_rate);
   h = mix64(h, static_cast<std::uint64_t>(f.max_attempts));
-  // Bank and warm-start knobs fold in only when enabled: every pre-bank
+  // Bank and warm-start knobs fold in only when set: every pre-bank
   // configuration keeps its historical hash, so committed CI baselines and
-  // resumable run directories stay valid.
+  // resumable run directories stay valid.  The budget bounds the store under
+  // either price, so a non-zero one counts even with bank pricing off.
   if (cfg.bank) {
     h = hash_str(h, "bank");
+    h = mix64(h, static_cast<std::uint64_t>(cfg.bank_budget_bytes));
+  } else if (cfg.bank_budget_bytes != 0) {
+    h = hash_str(h, "bank_budget");
     h = mix64(h, static_cast<std::uint64_t>(cfg.bank_budget_bytes));
   }
   if (!cfg.warm_start_dir.empty()) {
@@ -164,7 +168,7 @@ RunRecord make_run_record(std::string_view app_name, const NasRunConfig& cfg,
       rec.kendall_tau_early_final = kendall_tau(early, final_);
   }
 
-  if (store != nullptr && store->bank() != nullptr) {
+  if (store != nullptr && store->bank_pricing()) {
     const BankStats bank = store->bank()->stats();
     rec.bank_enabled = true;
     rec.bank_dedup_ratio = bank.dedup_ratio();
@@ -219,8 +223,8 @@ std::string run_record_to_json(const RunRecord& rec) {
   num("kendall_tau_early_final", json_number(rec.kendall_tau_early_final));
   num("mean_lineage_depth", json_number(rec.mean_lineage_depth));
   if (rec.bank_enabled) {
-    // Bank fields only appear for banked runs, keeping flat-run records
-    // byte-identical to the pre-bank format.
+    // Bank fields only appear for bank-priced runs, keeping full-blob-priced
+    // records byte-identical to the pre-bank format.
     num("bank", "true");
     num("bank_dedup_ratio", json_number(rec.bank_dedup_ratio));
     num("bank_chunks", std::to_string(rec.bank_chunks));

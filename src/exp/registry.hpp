@@ -50,7 +50,7 @@ struct RunRecord {
   double kendall_tau_early_final = 0.0;
   double mean_lineage_depth = 0.0;
 
-  // Weight-bank snapshot (all defaulted for flat-store runs):
+  // Weight-bank snapshot (all defaulted unless the run used bank pricing):
   bool bank_enabled = false;
   double bank_dedup_ratio = 1.0;      ///< logical / unique bytes written
   long bank_chunks = 0;               ///< distinct chunk contents at run end
@@ -71,8 +71,9 @@ struct RunRecord {
 /// Summarize a finished run.  Top-K scores, transfer hit rate and the
 /// early-vs-final Kendall tau are recomputed from the trace so the record
 /// is self-contained even when metrics were disabled.  A non-null `store`
-/// with an enabled weight bank additionally fills the bank snapshot
-/// (dedup ratio, byte meters, surviving chunk roots).
+/// under bank pricing additionally fills the bank snapshot (dedup ratio,
+/// byte meters, surviving chunk roots); full-blob-priced runs omit it, so
+/// their records keep the pre-bank format.
 [[nodiscard]] RunRecord make_run_record(std::string_view app_name, const NasRunConfig& cfg,
                                         const Trace& trace, double wall_seconds,
                                         const CheckpointStore* store = nullptr);

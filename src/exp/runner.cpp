@@ -41,17 +41,14 @@ std::size_t warm_start_from(const std::filesystem::path& src_dir,
                             ? static_cast<std::size_t>(cfg.warm_start_k)
                             : cfg.evolution.population_size;
   const std::vector<EvalRecord> best = top_k(src_trace, k);
-  // The source store is opened read-only in spirit: banked layout is
-  // autodetected from the manifests/ directory the bank always creates.
+  // The source store is only read from; its pricing is irrelevant here.
   const std::filesystem::path src_ckpts = src_dir / "ckpts";
   if (!std::filesystem::exists(src_ckpts)) {
     log_warn("warm start: no ckpts/ in ", src_dir.string(), "; skipping");
     return 0;
   }
-  BankConfig src_bank;
-  src_bank.enabled = std::filesystem::exists(src_ckpts / "manifests");
   CheckpointStore source(CheckpointStore::Backend::kDisk, src_ckpts, PfsCostModel{},
-                         cfg.compression, src_bank);
+                         cfg.compression);
   std::size_t seeded = 0;
   for (const EvalRecord& r : best) {
     if (r.ckpt_key.empty()) continue;
@@ -64,8 +61,12 @@ std::size_t warm_start_from(const std::filesystem::path& src_dir,
     strategy.report(Outcome{-static_cast<long>(seeded) - 2, r.arch, r.score, key});
     ++seeded;
   }
-  log_info("warm start: seeded ", seeded, " of ", best.size(),
-           " candidate checkpoints from ", src_dir.string());
+  if (seeded == 0 && !best.empty())
+    log_warn("warm start: none of the ", best.size(), " candidate checkpoints in ",
+             src_ckpts.string(), " is readable; starting cold");
+  else
+    log_info("warm start: seeded ", seeded, " of ", best.size(),
+             " candidate checkpoints from ", src_dir.string());
   return seeded;
 }
 

@@ -24,14 +24,15 @@ struct NasRunConfig {
   int estimation_epochs = 0;
   RegularizedEvolution::Config evolution = {};
 
-  // Content-addressed weight bank (DESIGN.md "Weight bank").  Off by
-  // default: bank-disabled runs use the flat store and their trace CSVs are
-  // byte-identical to pre-bank builds.
-  /// Store checkpoints as deduplicated per-tensor chunks + manifests;
-  /// provider reads are then priced at manifest size (cache hits).
+  // Content-addressed weight bank (DESIGN.md "Weight bank").  Every run
+  // stores its checkpoints in the bank; these knobs pick its PFS price and
+  // bound its size (see BankConfig in ckpt/store.hpp).
+  /// Price puts at manifest + first-seen chunk bytes and provider reads at
+  /// manifest size (cache hits).  Off = the paper's full-blob price, whose
+  /// trace CSVs are byte-identical to pre-bank builds.
   bool bank = false;
-  /// Resident chunk byte cap for the bank (0 = unlimited).  Evicted chunks
-  /// turn their checkpoints into read misses (random-init fallback).
+  /// Resident chunk byte cap (0 = unlimited), under either price.  Evicted
+  /// chunks turn their checkpoints into read misses (random-init fallback).
   std::size_t bank_budget_bytes = 0;
   /// Cross-run warm start: a previous run's directory (its trace.csv +
   /// ckpts/).  The top-K surviving checkpoints are re-put into this run's

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "ckpt/store.hpp"
 #include "nn/dense.hpp"
@@ -12,6 +13,14 @@
 
 namespace swt {
 namespace {
+
+/// Every chunk file a disk store keeps under `dir` (see weight_bank.hpp).
+std::vector<std::filesystem::path> chunk_files(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir / "chunks"))
+    out.push_back(entry.path());
+  return out;
+}
 
 Checkpoint sample_checkpoint() {
   Checkpoint ckpt;
@@ -113,12 +122,13 @@ TEST(Store, UnknownKeyThrows) {
 TEST(Store, OverwriteReplacesPayload) {
   CheckpointStore store;
   Checkpoint a = sample_checkpoint();
-  store.put("k", a);
+  const IoStats first = store.put("k", a);
   a.score = 0.1;
-  store.put("k", a);
+  const IoStats second = store.put("k", a);
   EXPECT_EQ(store.count(), 1u);
   EXPECT_DOUBLE_EQ(store.get("k").first.score, 0.1);
-  EXPECT_EQ(store.stored_sizes().size(), 2u);  // both puts accounted
+  // Both puts are accounted.
+  EXPECT_EQ(store.total_bytes_written(), first.bytes + second.bytes);
 }
 
 TEST(Store, DiskBackendPersistsToFiles) {
@@ -127,7 +137,8 @@ TEST(Store, DiskBackendPersistsToFiles) {
   CheckpointStore store(CheckpointStore::Backend::kDisk, dir);
   const Checkpoint ckpt = sample_checkpoint();
   store.put("model-1", ckpt);
-  EXPECT_TRUE(std::filesystem::exists(dir / "model-1.swtc"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "manifests" / "model-1.swtm"));
+  EXPECT_EQ(chunk_files(dir).size(), ckpt.tensors.size());
   auto [restored, stats] = store.get("model-1");
   EXPECT_EQ(restored.tensors[0].value, ckpt.tensors[0].value);
   std::filesystem::remove_all(dir);
@@ -149,9 +160,9 @@ TEST(Store, DiskTruncationMakesGetThrowAndTryGetEmpty) {
   std::filesystem::remove_all(dir);
   CheckpointStore store(CheckpointStore::Backend::kDisk, dir);
   store.put("victim", sample_checkpoint());
-  const auto path = dir / "victim.swtc";
+  const auto path = chunk_files(dir).front();
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
-  EXPECT_TRUE(store.contains("victim"));  // the file still exists...
+  EXPECT_TRUE(store.contains("victim"));  // the manifest still exists...
   EXPECT_THROW((void)store.get("victim"), std::runtime_error);
   EXPECT_FALSE(store.try_get("victim").has_value());  // ...but is unreadable
   std::filesystem::remove_all(dir);
@@ -162,7 +173,7 @@ TEST(Store, DiskBitFlipMakesGetThrowAndTryGetEmpty) {
   std::filesystem::remove_all(dir);
   CheckpointStore store(CheckpointStore::Backend::kDisk, dir);
   store.put("victim", sample_checkpoint());
-  const auto path = dir / "victim.swtc";
+  const auto path = chunk_files(dir).front();
   {
     std::ifstream in(path, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -206,9 +217,11 @@ TEST(Store, OverwriteDoesNotDoubleCountLiveBytes) {
   CheckpointStore store;
   const Checkpoint ckpt = sample_checkpoint();
   const auto s1 = store.put("k", ckpt);
+  const std::size_t live = store.live_bytes();
+  EXPECT_GT(live, 0u);
   const auto s2 = store.put("k", ckpt);
   EXPECT_EQ(store.total_bytes_written(), s1.bytes + s2.bytes);  // cumulative
-  EXPECT_EQ(store.live_bytes(), s2.bytes);                      // one payload
+  EXPECT_EQ(store.live_bytes(), live);                          // one checkpoint
   EXPECT_TRUE(store.remove("k"));
   EXPECT_EQ(store.live_bytes(), 0u);
   EXPECT_EQ(store.total_bytes_written(), s1.bytes + s2.bytes);  // not retracted
@@ -218,13 +231,44 @@ TEST(Store, DiskLiveBytesTracksOverwriteAndRemove) {
   const auto dir = std::filesystem::temp_directory_path() / "swtnas_store_live";
   std::filesystem::remove_all(dir);
   CheckpointStore store(CheckpointStore::Backend::kDisk, dir);
-  const auto s1 = store.put("k", sample_checkpoint());
-  store.put("other", sample_checkpoint());
-  const auto s2 = store.put("k", sample_checkpoint());
-  EXPECT_EQ(store.live_bytes(), s1.bytes + s2.bytes);  // two live keys
+  Checkpoint other = sample_checkpoint();
+  other.tensors[0].value.fill(7.0f);  // distinct content: its own chunk
+  store.put("k", sample_checkpoint());
+  const std::size_t one = store.live_bytes();
+  store.put("other", other);
+  store.put("k", sample_checkpoint());
+  const std::size_t two = store.live_bytes();
+  EXPECT_GT(two, one);  // two live keys
   store.remove("other");
-  EXPECT_EQ(store.live_bytes(), s2.bytes);
+  EXPECT_EQ(store.live_bytes(), one);
   std::filesystem::remove_all(dir);
+}
+
+TEST(Store, BlobPriceIsTheFullSerializedSize) {
+  // Without bank pricing every put and get is charged the full blob, as if
+  // each checkpoint were its own PFS file — dedup inside the bank does not
+  // discount a second put of the same content.
+  for (CompressionKind kind :
+       {CompressionKind::kNone, CompressionKind::kFp16, CompressionKind::kQuant8}) {
+    CheckpointStore store(CheckpointStore::Backend::kMemory, {}, {}, kind);
+    const Checkpoint ckpt = sample_checkpoint();
+    const std::size_t blob = serialize(ckpt, kind).size();
+    EXPECT_EQ(store.put("a", ckpt).bytes, blob) << to_string(kind);
+    EXPECT_EQ(store.put("b", ckpt).bytes, blob) << to_string(kind);
+    EXPECT_EQ(store.get("b").second.bytes, blob) << to_string(kind);
+    EXPECT_FALSE(store.bank_pricing());
+  }
+}
+
+TEST(Store, BudgetBoundsTheStoreWithoutBankPricing) {
+  // The byte budget bounds the one store whatever the price: a 1-byte cap
+  // evicts every chunk, so the key stays known but reads as a miss.
+  CheckpointStore store(CheckpointStore::Backend::kMemory, {}, {},
+                        CompressionKind::kNone, BankConfig{.byte_budget = 1});
+  store.put("k", sample_checkpoint());
+  EXPECT_TRUE(store.contains("k"));
+  EXPECT_FALSE(store.try_get("k").has_value());
+  EXPECT_THROW((void)store.get("k"), std::runtime_error);
 }
 
 TEST(Store, NetworkRoundTripThroughStore) {
@@ -282,13 +326,13 @@ TEST(Store, DiskReopenSweepsTmpDebris) {
     store.put("good", sample_checkpoint());
   }
   {
-    std::ofstream out(dir / "torn.swtc.tmp", std::ios::binary);
-    out << "half-written blob";
+    std::ofstream out(dir / "manifests" / "torn.swtm.tmp", std::ios::binary);
+    out << "half-written manifest";
   }
   CheckpointStore reopened(CheckpointStore::Backend::kDisk, dir);
   EXPECT_EQ(reopened.count(), 1u);
   EXPECT_FALSE(reopened.contains("torn"));
-  EXPECT_FALSE(std::filesystem::exists(dir / "torn.swtc.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir / "manifests" / "torn.swtm.tmp"));
   std::filesystem::remove_all(dir);
 }
 
@@ -298,8 +342,9 @@ TEST(Store, DiskPutLeavesNoStagingFileBehind) {
   CheckpointStore store(CheckpointStore::Backend::kDisk, dir);
   store.put("k", sample_checkpoint());
   store.put("k", sample_checkpoint());  // overwrite goes through the same path
-  EXPECT_TRUE(std::filesystem::exists(dir / "k.swtc"));
-  EXPECT_FALSE(std::filesystem::exists(dir / "k.swtc.tmp"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "manifests" / "k.swtm"));
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir))
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   std::filesystem::remove_all(dir);
 }
 
@@ -308,14 +353,16 @@ TEST(Store, RemoveDeletesBlobAndToleratesDebris) {
   std::filesystem::remove_all(dir);
   CheckpointStore store(CheckpointStore::Backend::kDisk, dir);
   store.put("k", sample_checkpoint());
+  const auto manifest = dir / "manifests" / "k.swtm";
   {
-    std::ofstream out(dir / "k.swtc.tmp", std::ios::binary);
+    std::ofstream out(manifest.string() + ".tmp", std::ios::binary);
     out << "leftover";
   }
   EXPECT_TRUE(store.remove("k"));
   EXPECT_FALSE(store.contains("k"));
-  EXPECT_FALSE(std::filesystem::exists(dir / "k.swtc"));
-  EXPECT_FALSE(std::filesystem::exists(dir / "k.swtc.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(manifest));
+  EXPECT_FALSE(std::filesystem::exists(manifest.string() + ".tmp"));
+  EXPECT_TRUE(chunk_files(dir).empty());  // zero-ref chunks go with the key
   EXPECT_FALSE(store.remove("k"));  // second remove: nothing left
   std::filesystem::remove_all(dir);
 }

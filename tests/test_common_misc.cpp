@@ -1,6 +1,7 @@
 // Coverage for the small common utilities: logging, timers and CLI parsing.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 
 #include <thread>
@@ -108,6 +109,21 @@ TEST(Parse, U64RejectsNegativeAndGarbage) {
   EXPECT_FALSE(parse_u64(" -1").has_value());
   EXPECT_FALSE(parse_u64("12x").has_value());
   EXPECT_FALSE(parse_u64("").has_value());
+}
+
+TEST(Parse, MibConvertsToBytesWithoutWrapping) {
+  constexpr std::size_t kMaxMib = SIZE_MAX >> 20;
+  EXPECT_EQ(parse_mib("0"), 0u);
+  EXPECT_EQ(parse_mib("1"), std::size_t{1} << 20);
+  EXPECT_EQ(parse_mib("64"), std::size_t{64} << 20);
+  EXPECT_EQ(parse_mib(std::to_string(kMaxMib)), kMaxMib << 20);
+  // One more MiB would wrap; 2^44 MiB used to wrap all the way to 0
+  // (= unlimited).
+  EXPECT_FALSE(parse_mib(std::to_string(kMaxMib + 1)).has_value());
+  EXPECT_FALSE(parse_mib("17592186044416").has_value());
+  EXPECT_FALSE(parse_mib("-1").has_value());
+  EXPECT_FALSE(parse_mib("8M").has_value());
+  EXPECT_FALSE(parse_mib("").has_value());
 }
 
 TEST(Parse, DoubleAcceptsFiniteNumbersOnly) {

@@ -229,7 +229,7 @@ TEST_F(CrashRecoveryFixture, TornJournalTailIsDiscardedAndRetrained) {
 }
 
 TEST_F(CrashRecoveryFixture, CorruptCheckpointsFallBackInsteadOfAborting) {
-  // Flip one byte in every checkpoint blob the crashed run left behind.
+  // Flip one byte in every checkpoint chunk the crashed run left behind.
   // Replayed attempts never touch them; retrained attempts detect the CRC
   // mismatch, degrade to random initialisation (transfer_fallback) and the
   // search completes — corruption costs quality, never the run.
@@ -239,7 +239,7 @@ TEST_F(CrashRecoveryFixture, CorruptCheckpointsFallBackInsteadOfAborting) {
   ASSERT_EQ(run_in_child(app_, crash), RunJournal::kCrashExitCode);
 
   std::size_t corrupted = 0;
-  for (const auto& entry : fs::directory_iterator(crash.run_dir / "ckpts")) {
+  for (const auto& entry : fs::directory_iterator(crash.run_dir / "ckpts" / "chunks")) {
     std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(12);
     char byte = 0;

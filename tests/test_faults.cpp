@@ -268,17 +268,21 @@ TEST_F(FaultClusterFixture, CorruptParentOnDiskDegradesToRandomInit) {
   const Proposal parent{space_.random_arch(rng), std::nullopt, "", -1};
   const EvalRecord pr = evaluator.evaluate(0, parent);
 
-  // Flip one payload byte of the parent's on-disk checkpoint (CRC breaks).
-  const auto path = dir / (pr.ckpt_key + ".swtc");
-  ASSERT_TRUE(std::filesystem::exists(path));
-  {
-    std::ifstream in(path, std::ios::binary);
+  // Flip one payload byte of each of the parent's on-disk chunks (the only
+  // checkpoint in the store), so every chunk CRC breaks.
+  ASSERT_TRUE(std::filesystem::exists(dir / "manifests" / (pr.ckpt_key + ".swtm")));
+  std::size_t corrupted = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir / "chunks")) {
+    std::ifstream in(entry.path(), std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
+    in.close();
     bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ++corrupted;
   }
+  ASSERT_GT(corrupted, 0u);
 
   Proposal child;
   child.arch = space_.mutate(pr.arch, rng);

@@ -173,6 +173,16 @@ TEST_P(SerializationFuzz, CompressedSizesMatchFormula) {
   EXPECT_EQ(base - fp16, payload - fp16_payload);  // metadata identical
 }
 
+TEST_P(SerializationFuzz, SerializedSizeMatchesEncodedBlob) {
+  // The store's full-blob price is computed without encoding; it must equal
+  // the real blob for every codec.
+  Rng rng(GetParam() + 200);
+  const Checkpoint ckpt = random_checkpoint(rng);
+  for (CompressionKind kind :
+       {CompressionKind::kNone, CompressionKind::kFp16, CompressionKind::kQuant8})
+    EXPECT_EQ(serialized_size(ckpt, kind), serialize(ckpt, kind).size()) << to_string(kind);
+}
+
 TEST_P(SerializationFuzz, TransferFromFuzzedCheckpointNeverCorruptsShapes) {
   // Random provider checkpoints against a real model: whatever matches, the
   // receiver's tensor shapes must never change.

@@ -1,6 +1,6 @@
 // Content-addressed weight bank (DESIGN.md "Weight bank"): chunk hashing,
 // dedup accounting, LRU eviction, refcounts across remove, corrupt-chunk
-// fallback, disk reopen/GC, the banked CheckpointStore routing, and the
+// fallback, disk reopen/GC, the CheckpointStore's bank pricing, and the
 // cross-run warm-start path through run_nas.
 #include "ckpt/weight_bank.hpp"
 
@@ -13,6 +13,7 @@
 #include <string>
 
 #include "ckpt/store.hpp"
+#include "common/log.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "exp/trace_io.hpp"
@@ -413,8 +414,7 @@ TEST(BankedStore, DedupedPutIsChargedAtManifestCost) {
   const auto [restored, read] = store.get("a");
   EXPECT_EQ(restored.tensors[0].value, c.tensors[0].value);
   EXPECT_LT(read.bytes, c.payload_bytes() / 4);
-  // Traffic meters stay cumulative, like the flat store's.
-  EXPECT_EQ(store.stored_sizes().size(), 2u);
+  // The traffic meter stays cumulative under either price.
   EXPECT_EQ(store.total_bytes_written(), first.bytes + second.bytes);
 }
 
@@ -487,11 +487,17 @@ TEST(RegistryBank, FlatRecordOmitsBankFields) {
 TEST(RegistryBank, ConfigHashFoldsBankKnobsOnlyWhenEnabled) {
   NasRunConfig off;
   NasRunConfig off_with_budget = off;
-  off_with_budget.bank_budget_bytes = 1 << 20;  // dead knob while bank=false
-  EXPECT_EQ(config_hash("app", off), config_hash("app", off_with_budget));
+  // The budget bounds the store under either price, so it counts even with
+  // bank pricing off — but only when set, keeping the historical hashes.
+  off_with_budget.bank_budget_bytes = 1 << 20;
+  EXPECT_NE(config_hash("app", off), config_hash("app", off_with_budget));
   NasRunConfig on = off;
   on.bank = true;
   EXPECT_NE(config_hash("app", off), config_hash("app", on));
+  NasRunConfig on_with_budget = on;
+  on_with_budget.bank_budget_bytes = 1 << 20;
+  EXPECT_NE(config_hash("app", on), config_hash("app", on_with_budget));
+  EXPECT_NE(config_hash("app", off_with_budget), config_hash("app", on_with_budget));
   NasRunConfig warm = off;
   warm.warm_start_dir = "/some/run";
   EXPECT_NE(config_hash("app", off), config_hash("app", warm));
@@ -532,14 +538,26 @@ class WarmStartFixture : public ::testing::Test {
   fs::path root_;
 };
 
-TEST_F(WarmStartFixture, BankedRunIsDeterministicAcrossEvalParallelism) {
-  NasRunConfig base = cfg();
-  base.bank = true;
-  NasRunConfig wide = base;
-  wide.cluster.eval_parallelism = 2;
-  const std::string narrow_csv = csv(run_nas(app_, base).trace);
-  const std::string wide_csv = csv(run_nas(app_, wide).trace);
-  EXPECT_EQ(narrow_csv, wide_csv);
+TEST_F(WarmStartFixture, TraceIsIdenticalAcrossBackendsAndEvalParallelism) {
+  // The backend (memory, or disk under a run directory) and the eval
+  // parallelism never change the trace, under either PFS price.
+  for (bool bank : {false, true}) {
+    std::string reference;
+    for (bool disk : {false, true}) {
+      for (int parallelism : {1, 4}) {
+        NasRunConfig c = cfg();
+        c.bank = bank;
+        c.cluster.eval_parallelism = parallelism;
+        if (disk)
+          c.run_dir = root_ / ("run_" + std::to_string(bank) + "_" +
+                               std::to_string(parallelism));
+        const std::string trace = csv(run_nas(app_, c).trace);
+        if (reference.empty()) reference = trace;
+        EXPECT_EQ(trace, reference) << "bank=" << bank << " disk=" << disk
+                                    << " parallelism=" << parallelism;
+      }
+    }
+  }
 }
 
 TEST_F(WarmStartFixture, BankedRunDedupesPopulationCheckpoints) {
@@ -593,6 +611,42 @@ TEST_F(WarmStartFixture, WarmStartUnderTransferModeNoneIsIgnored) {
   b.warm_start_dir = root_ / "run_none";
   const NasRun run = run_nas(app_, b);
   EXPECT_EQ(run.warm_start_seeded, 0u);
+}
+
+TEST_F(WarmStartFixture, WarmStartFromFlatBlobLayoutSeedsNothingAndWarns) {
+  // Before the bank backed every store, un-banked run directories kept one
+  // "<key>.swtc" blob per checkpoint directly under ckpts/.  Rebuild that
+  // layout from a real run, then warm-start from it: the bank finds no
+  // manifests, so nothing is seeded — with a warning, never an exception.
+  NasRunConfig a = cfg();
+  a.run_dir = root_ / "run_flat";
+  const NasRun source = run_nas(app_, a);
+  const fs::path ckpts = a.run_dir / "ckpts";
+  for (const std::string& key : source.store->bank()->keys()) {
+    const std::vector<std::byte> blob = serialize(source.store->get(key).first);
+    std::ofstream out(ckpts / (key + ".swtc"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(blob.data()),
+              static_cast<std::streamsize>(blob.size()));
+  }
+  fs::remove_all(ckpts / "chunks");
+  fs::remove_all(ckpts / "manifests");
+
+  std::vector<std::string> warnings;
+  set_log_sink([&warnings](LogLevel level, const std::string& msg) {
+    if (level == LogLevel::kWarn) warnings.push_back(msg);
+  });
+  NasRunConfig b = cfg();
+  b.seed = 77;
+  b.warm_start_dir = a.run_dir;
+  NasRun run;
+  EXPECT_NO_THROW(run = run_nas(app_, b));
+  set_log_sink({});
+  EXPECT_EQ(run.warm_start_seeded, 0u);
+  ASSERT_FALSE(run.trace.records.empty());
+  bool warned = false;
+  for (const std::string& w : warnings)
+    if (w.find("warm start") != std::string::npos) warned = true;
+  EXPECT_TRUE(warned);
 }
 
 TEST_F(WarmStartFixture, WarmStartFromMissingDirectorySeedsNothing) {
