@@ -350,7 +350,7 @@ void profiler_experiment() {
           const std::string target = path;
           const auto q = target.find('?');
           req.path = target.substr(0, q);
-          if (q != std::string::npos) req.query["seconds"] = "0";
+          if (q != std::string::npos) req.query.emplace("seconds", "0");
           benchmark::DoNotOptimize(server.handle(req));
           ++local_scrapes;
         }

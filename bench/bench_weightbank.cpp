@@ -68,8 +68,8 @@ void BM_BankPutFirstSeen(benchmark::State& state) {
   long member = 0;
   for (auto _ : state) {
     const long m = member++;
-    benchmark::DoNotOptimize(
-        bank.put("k" + std::to_string(m), synthetic_ckpt(static_cast<int>(m), 0, 4)));
+    benchmark::DoNotOptimize(bank.put(std::string("k").append(std::to_string(m)),
+                                      synthetic_ckpt(static_cast<int>(m), 0, 4)));
   }
   state.SetLabel("4 distinct 16KiB tensors/put");
 }
@@ -80,7 +80,7 @@ void BM_BankPutAllDeduped(benchmark::State& state) {
   const Checkpoint ckpt = synthetic_ckpt(0, 4, 0);
   long member = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(bank.put("k" + std::to_string(member++), ckpt));
+    benchmark::DoNotOptimize(bank.put(std::string("k").append(std::to_string(member++)), ckpt));
   state.SetLabel("4 shared tensors/put: hash + manifest only");
 }
 BENCHMARK(BM_BankPutAllDeduped)->Unit(benchmark::kMicrosecond);

@@ -53,20 +53,7 @@ bool print_report(const std::string& label, const prof::CriticalPathReport& r) {
     std::cout << "no completed evaluations found.\n";
     return false;
   }
-  std::cout << r.workers << " workers, " << TableReport::cell(r.makespan - r.t0, 2)
-            << " virtual s makespan, " << TableReport::cell(r.worker_seconds, 2)
-            << " worker-seconds\n\n";
-
-  TableReport phases({"phase", "worker s", "share"});
-  const char* order[] = {"train", "transfer", "checkpoint", "checkpoint stall",
-                         "fault", "idle"};
-  for (const char* phase : order) {
-    const auto it = r.phase_seconds.find(phase);
-    if (it == r.phase_seconds.end() || it->second <= 0.0) continue;
-    phases.add_row({phase, TableReport::cell(it->second, 2),
-                    TableReport::cell_pct(it->second / r.worker_seconds)});
-  }
-  phases.print(std::cout);
+  print_phase_shares(std::cout, r);
   const double share_pct = r.share_sum * 100.0;
   const bool share_ok = std::abs(share_pct - 100.0) <= 1.0;
   std::cout << "share sum: " << TableReport::cell(share_pct, 2) << "% ("

@@ -146,28 +146,6 @@ using namespace swt;
   std::exit(2);
 }
 
-AppId parse_app(const std::string& name, const char* argv0) {
-  if (name == "cifar") return AppId::kCifar;
-  if (name == "mnist") return AppId::kMnist;
-  if (name == "nt3") return AppId::kNt3;
-  if (name == "uno") return AppId::kUno;
-  usage(argv0);
-}
-
-TransferMode parse_mode(const std::string& name, const char* argv0) {
-  if (name == "baseline") return TransferMode::kNone;
-  if (name == "lp") return TransferMode::kLP;
-  if (name == "lcs") return TransferMode::kLCS;
-  usage(argv0);
-}
-
-CompressionKind parse_compression(const std::string& name, const char* argv0) {
-  if (name == "none") return CompressionKind::kNone;
-  if (name == "fp16") return CompressionKind::kFp16;
-  if (name == "quant8") return CompressionKind::kQuant8;
-  usage(argv0);
-}
-
 /// --progress heartbeat, fed by the event bus.  Repaints a single stderr
 /// line at most every 100 ms of wall time (the run_finished event always
 /// paints) so a multi-thousand-eval search stays readable over ssh.
@@ -311,14 +289,18 @@ int main(int argc, char** argv) try {
       if (!v.has_value()) reject("a non-negative integer, got '" + text + "'");
       return *v;
     };
+    const auto known = [&](auto parsed) {
+      if (!parsed.has_value()) usage(argv[0]);
+      return *parsed;
+    };
     const auto num_double = [&]() -> double {
       const std::string text = next();
       const auto v = parse_double(text);
       if (!v.has_value()) reject("a number, got '" + text + "'");
       return *v;
     };
-    if (arg == "--app") app_id = parse_app(next(), argv[0]);
-    else if (arg == "--mode") cfg.mode = parse_mode(next(), argv[0]);
+    if (arg == "--app") app_id = known(parse_app_id(next()));
+    else if (arg == "--mode") cfg.mode = known(parse_transfer_mode(next()));
     else if (arg == "--evals") cfg.n_evals = num_long();
     else if (arg == "--workers") cfg.cluster.num_workers = num_int();
     else if (arg == "--seed") cfg.seed = num_u64();
@@ -349,7 +331,7 @@ int main(int argc, char** argv) try {
       set_log_level(*level);
     }
     else if (arg == "--async-ckpt") cfg.cluster.async_checkpointing = true;
-    else if (arg == "--compress") compression = parse_compression(next(), argv[0]);
+    else if (arg == "--compress") compression = known(parse_compression(next()));
     else if (arg == "--bank") cfg.bank = true;
     else if (arg == "--bank-budget-mb") {
       const std::string text = next();

@@ -18,6 +18,13 @@ const char* to_string(CompressionKind k) noexcept {
   return "?";
 }
 
+std::optional<CompressionKind> parse_compression(std::string_view name) noexcept {
+  for (const CompressionKind k :
+       {CompressionKind::kNone, CompressionKind::kFp16, CompressionKind::kQuant8})
+    if (name == to_string(k)) return k;
+  return std::nullopt;
+}
+
 std::uint16_t float_to_half(float f) noexcept {
   const std::uint32_t bits = std::bit_cast<std::uint32_t>(f);
   const std::uint32_t sign = (bits >> 16) & 0x8000u;

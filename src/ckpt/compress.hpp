@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -27,6 +29,8 @@ namespace swt {
 enum class CompressionKind : std::uint8_t { kNone = 0, kFp16 = 1, kQuant8 = 2 };
 
 [[nodiscard]] const char* to_string(CompressionKind k) noexcept;
+/// Inverse of to_string.
+[[nodiscard]] std::optional<CompressionKind> parse_compression(std::string_view name) noexcept;
 
 /// IEEE-754 binary16 conversions (round-to-nearest-even on encode).
 [[nodiscard]] std::uint16_t float_to_half(float f) noexcept;

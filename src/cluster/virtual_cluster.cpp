@@ -29,21 +29,40 @@ double Trace::total_ckpt_overhead() const noexcept {
   return t;
 }
 
-double Trace::total_train_time() const noexcept {
-  double t = 0.0;
-  for (const auto& r : records) t += r.train_seconds;
-  return t;
+prof::EvalSpan eval_phases(const EvalRecord& rec) {
+  prof::EvalSpan s;
+  s.id = rec.id;
+  s.parent_id = rec.tensors_transferred > 0 ? rec.parent_id : -1;
+  s.worker = rec.worker;
+  s.start = rec.virtual_start;
+  s.finish = rec.virtual_finish;
+  s.ready_at = std::max(rec.virtual_finish, rec.ckpt_available_at);
+  s.stall = rec.ckpt_read_wait;
+  s.ckpt_read = rec.ckpt_read_cost;
+  s.ckpt_write = rec.ckpt_write_charged;
+  s.ckpt_retry = rec.retry_seconds;
+  // The stall and the read lead, the write charge and the retries trail
+  // (only their total is known); the compute window between them is split
+  // into a transfer head (the measured mechanism wall time, an
+  // approximation in scaled/fixed-time runs) and the training remainder.
+  const double compute_start = rec.virtual_start + s.stall + s.ckpt_read;
+  const double compute = std::max(
+      0.0, (rec.virtual_finish - compute_start) - s.ckpt_write - s.ckpt_retry);
+  s.transfer = std::min(rec.transfer_seconds, compute);
+  s.train = compute - s.transfer;
+  return s;
 }
 
 namespace {
 
+/// A dispatched attempt, due at its record's virtual_finish.
 struct InFlight {
-  double finish;
   EvalRecord record;
-  int worker;
   bool crashed = false;  ///< event is a worker crash, not a completion
   Proposal proposal;     ///< kept for resubmission of crashed attempts
-  bool operator>(const InFlight& other) const noexcept { return finish > other.finish; }
+  bool operator>(const InFlight& other) const noexcept {
+    return record.virtual_finish > other.record.virtual_finish;
+  }
 };
 
 struct Resubmit {
@@ -54,37 +73,201 @@ struct Resubmit {
 
 constexpr double kUsPerS = 1e6;
 
-/// Emit one completed evaluation as a per-worker timeline: a top-level
-/// "eval" span plus child spans for each cost component, in virtual
-/// microseconds.  The compute window is split into a transfer part (the
-/// measured mechanism wall time, an approximation in scaled/fixed-time
-/// runs) and the training remainder; checkpoint retries are drawn after
-/// the write since only their total is known.
-void emit_eval_spans(SpanTracer& tracer, const EvalRecord& rec) {
-  const double dur = rec.virtual_finish - rec.virtual_start;
-  tracer.complete("eval " + std::to_string(rec.id), "eval", kTraceVirtualPid,
-                  rec.worker, rec.virtual_start * kUsPerS, dur * kUsPerS,
-                  {{"id", std::to_string(rec.id)},
-                   {"parent", std::to_string(rec.parent_id)},
-                   {"attempt", std::to_string(rec.attempt)},
-                   {"score", json_number(rec.score)}});
-  double t = rec.virtual_start;
-  const auto child = [&](const char* name, const char* cat, double seconds) {
-    if (seconds <= 0.0) return;
-    tracer.complete(name, cat, kTraceVirtualPid, rec.worker, t * kUsPerS,
-                    seconds * kUsPerS);
-    t += seconds;
-  };
-  child("ckpt stall", "idle", rec.ckpt_read_wait);
-  child("ckpt read", "checkpoint", rec.ckpt_read_cost);
-  const double compute = std::max(0.0, (rec.virtual_finish - t) - rec.ckpt_write_charged -
-                                           rec.retry_seconds);
-  const double transfer_part = std::min(rec.transfer_seconds, compute);
-  child("transfer", "transfer", transfer_part);
-  child("train", "train", compute - transfer_part);
-  child("ckpt write", "checkpoint", rec.ckpt_write_charged);
-  child("ckpt retry", "checkpoint", rec.retry_seconds);
-}
+/// Everything `run_search` reports about a search, one method per lifecycle
+/// fact.  It is the scheduler's only link to the span tracer (one virtual
+/// timeline track per worker), the event bus, the metrics registry and the
+/// online quality telemetry, and it owns the state that exists only for
+/// them.  Every method runs on the scheduler thread in scheduler order,
+/// so what it emits is identical at every eval_parallelism.
+class SearchTelemetry {
+ public:
+  /// The run started.
+  SearchTelemetry(long n_evals, int num_workers) {
+    if (tracer_.enabled()) {
+      tracer_.name_process(kTraceVirtualPid, "virtual cluster (virtual time)");
+      tracer_.name_process(kTraceWallPid, "process (wall time)");
+      for (int w = 0; w < num_workers; ++w)
+        tracer_.name_track(kTraceVirtualPid, w, "worker " + std::to_string(w));
+    }
+    bus_.emit(EventType::kRunStarted, 0.0, -1, -1,
+              {{"n_evals", std::to_string(n_evals)},
+               {"workers", std::to_string(num_workers)}});
+    // Quality statistics cost O(completed evals) per completion (the
+    // incremental Kendall scan); skip them when nothing consumes them.
+    quality_on_ = live_metrics_ || bus_.enabled();
+  }
+
+  /// Attempt `attempt` of `id` was handed to idle worker `w`; `fresh` marks
+  /// a new proposal (a resubmission reuses its id).
+  void dispatched(double clock, int w, long id, int attempt, bool fresh) {
+    if (fresh) {
+      ++submitted_;
+      bus_.emit(EventType::kEvalSubmitted, clock, -1, id);
+    }
+    if (bus_.enabled())
+      bus_.emit(EventType::kEvalStarted, clock, w, id,
+                {{"attempt", std::to_string(attempt)}});
+  }
+
+  /// A dispatched attempt will complete after occupying its worker for
+  /// `seconds` of virtual time.
+  void scheduled(double seconds) { busy_seconds_ += seconds; }
+
+  /// `rec` crashed at its virtual_finish, destroying `lost_s` of compute;
+  /// its worker recovers for `recovery_s`.
+  void crashed(const EvalRecord& rec, double lost_s, double recovery_s) {
+    const double crash_at = rec.virtual_finish;
+    busy_seconds_ += crash_at - rec.virtual_start;
+    recovery_seconds_ += recovery_s;
+    if (tracer_.enabled()) {
+      tracer_.complete("crash (eval " + std::to_string(rec.id) + ")", "fault",
+                       kTraceVirtualPid, rec.worker, rec.virtual_start * kUsPerS,
+                       (crash_at - rec.virtual_start) * kUsPerS,
+                       {{"attempt", std::to_string(rec.attempt)}});
+      tracer_.complete("recovery", "fault", kTraceVirtualPid, rec.worker,
+                       crash_at * kUsPerS, recovery_s * kUsPerS);
+    }
+    if (bus_.enabled()) {
+      bus_.emit(EventType::kWorkerCrashed, crash_at, rec.worker, rec.id,
+                {{"attempt", std::to_string(rec.attempt)}, {"lost_s", json_number(lost_s)}});
+      // The recovery end is known now; emitted eagerly with its virtual
+      // timestamp, so the stream stays strictly append-only.
+      bus_.emit(EventType::kWorkerRecovered, crash_at + recovery_s, rec.worker);
+    }
+  }
+
+  /// The clock moved to the next in-flight event; `in_flight` events remain.
+  void clock_advanced(double clock, std::size_t in_flight) {
+    clock_ = clock;
+    in_flight_ = in_flight;
+    if (live_metrics_)
+      metrics().gauge("cluster.queue_depth").set(static_cast<double>(in_flight + 1));
+    if (tracer_.enabled())
+      tracer_.counter("in_flight", kTraceVirtualPid, clock * kUsPerS,
+                      static_cast<double>(in_flight));
+  }
+
+  /// A crashed attempt of `id` was resubmitted as `next_attempt`, or lost
+  /// for good when `resubmitted` is false.
+  void crash_resolved(long id, int next_attempt, bool resubmitted) {
+    if (live_metrics_) {
+      metrics().counter("cluster.crashes_total").add(1);
+      metrics()
+          .counter(resubmitted ? "cluster.resubmissions_total"
+                               : "cluster.lost_evaluations_total")
+          .add(1);
+    }
+    if (resubmitted)
+      bus_.emit(EventType::kResubmission, clock_, -1, id,
+                {{"attempt", std::to_string(next_attempt)}});
+    else
+      ++finished_;
+    publish_progress();
+  }
+
+  /// `r` completed and was reported to the strategy.
+  void completed(const EvalRecord& r) {
+    if (live_metrics_ && r.transfer_fallback)
+      metrics().counter("cluster.transfer_fallbacks_total").add(1);
+    if (tracer_.enabled()) eval_spans(r);
+    if (bus_.enabled()) {
+      bus_.emit(EventType::kEvalFinished, r.virtual_finish, r.worker, r.id,
+                {{"score", json_number(r.score)}, {"attempt", std::to_string(r.attempt)}});
+      if (r.tensors_transferred > 0)
+        bus_.emit(EventType::kTransferHit, r.virtual_finish, r.worker, r.id,
+                  {{"parent", std::to_string(r.parent_id)},
+                   {"tensors", std::to_string(r.tensors_transferred)},
+                   {"values", std::to_string(r.values_transferred)}});
+      if (r.transfer_fallback)
+        bus_.emit(EventType::kTransferFallback, r.virtual_finish, r.worker, r.id);
+    }
+    if (quality_on_ &&
+        quality_.observe(QualityObservation{r.id, r.parent_id, r.tensors_transferred > 0,
+                                            r.transfer_fallback, r.first_epoch_score,
+                                            r.score}))
+      bus_.emit(EventType::kBestScoreImproved, r.virtual_finish, r.worker, r.id,
+                {{"score", json_number(r.score)},
+                 {"evals_seen", std::to_string(quality_.evals_seen())}});
+    ++finished_;
+    if (live_metrics_) metrics().counter("cluster.evals_completed_total").add(1);
+    publish_progress();
+  }
+
+  /// The search ended with `trace`.
+  void run_finished(const Trace& trace) {
+    if (live_metrics_) {
+      MetricsRegistry& m = metrics();
+      const double wall = trace.makespan * trace.num_workers;
+      m.gauge("cluster.worker_busy_seconds").add(busy_seconds_);
+      m.gauge("cluster.worker_recovery_seconds").add(recovery_seconds_);
+      m.gauge("cluster.worker_idle_seconds")
+          .add(std::max(0.0, wall - busy_seconds_ - recovery_seconds_));
+    }
+    bus_.emit(EventType::kRunFinished, trace.makespan, -1, -1,
+              {{"evals", std::to_string(trace.records.size())},
+               {"crashes", std::to_string(trace.crashed_attempts)},
+               {"resubmissions", std::to_string(trace.resubmissions)},
+               {"lost", std::to_string(trace.lost_evaluations)},
+               {"transfer_fallbacks", std::to_string(trace.transfer_fallbacks)},
+               {"makespan", json_number(trace.makespan)},
+               {"best_score", json_number(quality_.best_score())},
+               {"transfer_hit_rate", json_number(quality_.transfer_hit_rate())},
+               {"mean_lineage_depth", json_number(quality_.mean_lineage_depth())},
+               {"kendall_tau_early_final", json_number(quality_.early_final_tau())}});
+  }
+
+ private:
+  /// One completed evaluation as a worker-track "eval" span with a child
+  /// span per eval_phases component, in virtual microseconds.
+  void eval_spans(const EvalRecord& rec) {
+    tracer_.complete("eval " + std::to_string(rec.id), "eval", kTraceVirtualPid, rec.worker,
+                     rec.virtual_start * kUsPerS,
+                     (rec.virtual_finish - rec.virtual_start) * kUsPerS,
+                     {{"id", std::to_string(rec.id)},
+                      {"parent", std::to_string(rec.parent_id)},
+                      {"attempt", std::to_string(rec.attempt)},
+                      {"score", json_number(rec.score)}});
+    const prof::EvalSpan phases = eval_phases(rec);
+    double t = rec.virtual_start;
+    const auto child = [&](const char* name, const char* cat, double seconds) {
+      if (seconds <= 0.0) return;
+      tracer_.complete(name, cat, kTraceVirtualPid, rec.worker, t * kUsPerS,
+                       seconds * kUsPerS);
+      t += seconds;
+    };
+    child("ckpt stall", "idle", phases.stall);
+    child("ckpt read", "checkpoint", phases.ckpt_read);
+    child("transfer", "transfer", phases.transfer);
+    child("train", "train", phases.train);
+    child("ckpt write", "checkpoint", phases.ckpt_write);
+    child("ckpt retry", "checkpoint", phases.ckpt_retry);
+  }
+
+  /// The search.* gauges give scrapers and the sampler a consistent live
+  /// view, including the virtual clock (which nothing else reads back).
+  void publish_progress() const {
+    if (!live_metrics_) return;
+    MetricsRegistry& m = metrics();
+    m.gauge("search.virtual_time_seconds").set(clock_);
+    m.gauge("search.evals_completed").set(static_cast<double>(finished_));
+    m.gauge("search.evals_submitted").set(static_cast<double>(submitted_));
+    m.gauge("search.evals_in_flight").set(static_cast<double>(in_flight_));
+  }
+
+  SpanTracer& tracer_ = SpanTracer::global();
+  EventBus& bus_ = EventBus::global();
+  const bool live_metrics_ = metrics_enabled();
+  bool quality_on_ = false;
+  QualityTelemetry quality_;
+  double busy_seconds_ = 0.0;      // worker-seconds spent on attempts
+  double recovery_seconds_ = 0.0;  // worker-seconds lost to crash recovery
+  // The live-progress view: virtual clock, events left in flight, fresh
+  // proposals issued, completed plus permanently lost evaluations.
+  double clock_ = 0.0;
+  std::size_t in_flight_ = 0;
+  long submitted_ = 0;
+  long finished_ = 0;
+};
 
 }  // namespace
 
@@ -100,29 +283,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   Trace trace;
   trace.num_workers = cfg.num_workers;
   trace.records.reserve(static_cast<std::size_t>(n_evals));
-
-  // Observability: virtual-timeline spans (one Perfetto track per worker)
-  // plus scheduler-level metrics, lifecycle events on the bus and the online
-  // quality telemetry.  All of it is branch-only when the tracer, metrics
-  // and bus are off.
-  SpanTracer& tracer = SpanTracer::global();
-  if (tracer.enabled()) {
-    tracer.name_process(kTraceVirtualPid, "virtual cluster (virtual time)");
-    tracer.name_process(kTraceWallPid, "process (wall time)");
-    for (int w = 0; w < cfg.num_workers; ++w)
-      tracer.name_track(kTraceVirtualPid, w, "worker " + std::to_string(w));
-  }
-  EventBus& bus = EventBus::global();
-  bus.emit(EventType::kRunStarted, 0.0, -1, -1,
-           {{"n_evals", std::to_string(n_evals)},
-            {"workers", std::to_string(cfg.num_workers)}});
-  // Quality statistics cost O(completed evals) per completion (the
-  // incremental Kendall scan); skip them entirely when nothing consumes
-  // the result.
-  QualityTelemetry quality;
-  const bool quality_on = metrics_enabled() || bus.enabled();
-  double busy_seconds = 0.0;      // worker-seconds spent on attempts
-  double recovery_seconds = 0.0;  // worker-seconds lost to crash recovery
+  SearchTelemetry telemetry(n_evals, cfg.num_workers);
 
   std::vector<double> worker_free(static_cast<std::size_t>(cfg.num_workers), 0.0);
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> in_flight;
@@ -131,36 +292,22 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   double clock = 0.0;
   long submitted = 0;  // fresh proposals issued (resubmissions reuse their id)
   long finished = 0;   // completed records + permanently lost evaluations
-
-  // Live progress telemetry.  Counters are bumped incrementally as events
-  // happen (so a /metrics scrape mid-run sees real progress, and the final
-  // totals equal what a single end-of-run add would have produced); the
-  // search.* gauges give scrapers and the sampler a consistent live view,
-  // including the virtual clock (which nothing here ever reads back).
-  const bool live_metrics = metrics_enabled();
-  const auto publish_progress = [&] {
-    if (!live_metrics) return;
-    MetricsRegistry& m = metrics();
-    m.gauge("search.virtual_time_seconds").set(clock);
-    m.gauge("search.evals_completed").set(static_cast<double>(finished));
-    m.gauge("search.evals_submitted").set(static_cast<double>(submitted));
-    m.gauge("search.evals_in_flight").set(static_cast<double>(in_flight.size()));
-  };
   // One-shot wall-clock stall (see FaultConfig::stall_after_evals): freezes
   // the scheduler thread in real time so the watchdog sees no progress, but
   // leaves the virtual timeline untouched.
   bool stall_fired = false;
 
-  // Wavefront execution substrate.  The evaluations handed out at one
-  // virtual instant are mutually independent (a parent must be *reported*
-  // — i.e. virtually complete — before the strategy can select it), so
-  // their real training may run concurrently.  They get a dedicated pool
-  // rather than ThreadPool::global(): trainer kernels dispatch row chunks
-  // onto the global pool, and eval tasks blocking inside it while their
-  // nested chunks sit behind them in the same queue would deadlock.  Eval
-  // tasks instead pin their kernels serial (ScopedSerialKernels) — the
-  // cores are already saturated at task level, and the kernel determinism
-  // contract makes that a pure scheduling choice.
+  // Where a wavefront trains.  The evaluations handed out at one virtual
+  // instant are mutually independent (a parent must be *reported* — i.e.
+  // virtually complete — before the strategy can select it), so above
+  // parallelism 1 they train concurrently on a dedicated pool rather than
+  // ThreadPool::global(): trainer kernels dispatch row chunks onto the
+  // global pool, and eval tasks blocking inside it while their nested
+  // chunks sit behind them in the same queue would deadlock.  Eval tasks
+  // instead pin their kernels serial (ScopedSerialKernels) — the cores are
+  // already saturated at task level, and the kernel determinism contract
+  // makes that a pure scheduling choice.  At parallelism 1 they train
+  // inline on this thread, so kernels keep their compute threads.
   std::unique_ptr<ThreadPool> eval_pool;
   if (cfg.eval_parallelism > 1)
     eval_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(
@@ -220,34 +367,17 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     if (cd.crashed) {
       rec.faults |= kFaultCrash;
       const double crash_at = clock + cd.work_fraction * duration;
+      const double lost_seconds = cd.work_fraction * compute_virtual;
       rec.virtual_finish = crash_at;
       ++trace.crashed_attempts;
-      trace.lost_train_seconds += cd.work_fraction * compute_virtual;
-      busy_seconds += crash_at - clock;
-      recovery_seconds += cfg.faults.worker_recovery_s;
-      if (tracer.enabled()) {
-        tracer.complete("crash (eval " + std::to_string(id) + ")", "fault",
-                        kTraceVirtualPid, w, clock * 1e6, (crash_at - clock) * 1e6,
-                        {{"attempt", std::to_string(rec.attempt)}});
-        tracer.complete("recovery", "fault", kTraceVirtualPid, w, crash_at * 1e6,
-                        cfg.faults.worker_recovery_s * 1e6);
-      }
-      if (bus.enabled()) {
-        bus.emit(EventType::kWorkerCrashed, crash_at, w, id,
-                 {{"attempt", std::to_string(rec.attempt)},
-                  {"lost_s", json_number(cd.work_fraction * compute_virtual)}});
-        // The recovery end is known now; emitted eagerly with its virtual
-        // timestamp, so the stream stays strictly append-only.
-        bus.emit(EventType::kWorkerRecovered,
-                 crash_at + cfg.faults.worker_recovery_s, w);
-      }
+      trace.lost_train_seconds += lost_seconds;
+      telemetry.crashed(rec, lost_seconds, cfg.faults.worker_recovery_s);
       worker_free[static_cast<std::size_t>(w)] =
           crash_at + cfg.faults.worker_recovery_s;
-      in_flight.push(InFlight{crash_at, std::move(rec), w, /*crashed=*/true,
-                              std::move(proposal)});
+      in_flight.push(InFlight{std::move(rec), /*crashed=*/true, std::move(proposal)});
       return;
     }
-    busy_seconds += duration;
+    telemetry.scheduled(duration);
 
     rec.virtual_finish = clock + duration;
     if (rec.ckpt_bytes > 0) {
@@ -259,105 +389,83 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
       ckpt_available_at.emplace(rec.id, rec.ckpt_available_at);
     }
     worker_free[static_cast<std::size_t>(w)] = rec.virtual_finish;
-    in_flight.push(InFlight{rec.virtual_finish, std::move(rec), w,
-                            /*crashed=*/false, Proposal{}});
+    in_flight.push(InFlight{std::move(rec), /*crashed=*/false, Proposal{}});
   };
 
-  // One evaluation selected for an idle worker but not yet trained — the
-  // unit of wavefront parallelism.
+  // One evaluation selected for an idle worker, the unit of wavefront
+  // parallelism.  `sel_state` is the strategy-RNG state at selection time
+  // (invariant across eval_parallelism values, unlike any post-training
+  // instant), the journal's replay cross-check; `cached` marks a record
+  // restored from the journal, which skips training.
   struct Dispatch {
-    int worker;
-    long id;
-    int attempt;
+    int worker = 0;
+    long id = 0;
+    int attempt = 0;
     Proposal proposal;
     EvalRecord record;
-    // Journal support: the strategy-RNG state captured at selection time
-    // (invariant across eval_parallelism values, unlike any post-training
-    // instant) and whether `record` was satisfied from the journal.
     Rng::State sel_state;
     bool cached = false;
   };
   std::vector<Dispatch> wavefront;
-
-  // Pair a selected attempt with the journal: a hit fills `rec` from a
-  // previous (killed) process and skips training entirely; a miss trains
-  // for real and durably journals the evaluator output.  Either way the
-  // scheduler bookkeeping downstream (finish_dispatch) is identical, which
-  // is what makes the resumed trace byte-identical.  Returns true on a hit.
-  const auto journal_fill = [&](long id, int attempt, const ArchSeq& arch,
-                                EvalRecord& rec) {
-    if (cfg.journal == nullptr) return false;
-    const EvalRecord* hit = cfg.journal->lookup(id, attempt, arch, rng);
-    if (hit == nullptr) return false;
-    rec = *hit;
-    return true;
+  const auto train = [&evaluator, faults](Dispatch& d) {
+    d.record = evaluator.evaluate(d.id, d.proposal, d.attempt, faults);
   };
 
   while (finished < n_evals) {
-    // Hand work to every worker that is idle at the current virtual time —
-    // resubmissions of crashed attempts first, then fresh proposals.  All
-    // proposals issued at the same instant see the same strategy state —
-    // exactly the behaviour of an asynchronous scheduler that fans out to
-    // multiple free evaluators at once.
+    // 1. Select: hand work to every worker that is idle at the current
+    // virtual time — resubmissions of crashed attempts first, then fresh
+    // proposals.  All proposals issued at the same instant see the same
+    // strategy state — exactly the behaviour of an asynchronous scheduler
+    // that fans out to multiple free evaluators at once.  A journal hit
+    // fills the record from a previous (killed) process.
     for (int w = 0; w < cfg.num_workers; ++w) {
       if (resubmit.empty() && submitted >= n_evals) break;
       if (worker_free[static_cast<std::size_t>(w)] > clock) continue;
-      long id;
-      Proposal proposal;
-      int attempt = 0;
-      if (!resubmit.empty()) {
-        id = resubmit.front().id;
-        proposal = std::move(resubmit.front().proposal);
-        attempt = resubmit.front().attempt;
+      Dispatch& d = wavefront.emplace_back();
+      d.worker = w;
+      const bool fresh = resubmit.empty();
+      if (fresh) {
+        d.proposal = strategy.propose(rng);
+        d.id = submitted++;
+      } else {
+        d.id = resubmit.front().id;
+        d.proposal = std::move(resubmit.front().proposal);
+        d.attempt = resubmit.front().attempt;
         resubmit.pop_front();
-      } else {
-        proposal = strategy.propose(rng);
-        id = submitted;
-        ++submitted;
-        bus.emit(EventType::kEvalSubmitted, clock, -1, id);
       }
-      if (bus.enabled())
-        bus.emit(EventType::kEvalStarted, clock, w, id,
-                 {{"attempt", std::to_string(attempt)}});
-      if (eval_pool == nullptr) {
-        // Serial substrate: train inline, exactly the historical path.
-        const Rng::State sel_state = rng.state();
-        EvalRecord rec;
-        if (!journal_fill(id, attempt, proposal.arch, rec)) {
-          rec = evaluator.evaluate(id, proposal, attempt, faults);
-          if (cfg.journal != nullptr) cfg.journal->append(rec, sel_state);
+      telemetry.dispatched(clock, w, d.id, d.attempt, fresh);
+      d.sel_state = rng.state();
+      if (cfg.journal != nullptr) {
+        const EvalRecord* hit = cfg.journal->lookup(d.id, d.attempt, d.proposal.arch, rng);
+        if (hit != nullptr) {
+          d.record = *hit;
+          d.cached = true;
         }
-        finish_dispatch(w, id, std::move(rec), std::move(proposal));
-      } else {
-        Dispatch d{w, id, attempt, std::move(proposal), {}, rng.state()};
-        d.cached = journal_fill(id, attempt, d.proposal.arch, d.record);
-        wavefront.push_back(std::move(d));
       }
     }
-    if (eval_pool != nullptr && !wavefront.empty()) {
-      // Train the whole wavefront concurrently.  Each task only touches its
-      // own Dispatch slot plus thread-safe shared services (checkpoint
-      // store, metrics, event bus, logger); the vector is fully built
-      // before the first submit, so the slots are address-stable.  Journal
-      // hits already carry their record and never reach the pool.
-      for (Dispatch& d : wavefront) {
-        if (d.cached) continue;
-        eval_pool->submit([&evaluator, &d, faults] {
+    // 2. Train the fresh slots.  Each pool task only touches its own
+    // Dispatch slot plus thread-safe shared services (checkpoint store,
+    // metrics, event bus, logger); the vector is fully built before the
+    // first submit, so the slots are address-stable.
+    for (Dispatch& d : wavefront) {
+      if (d.cached) continue;
+      if (eval_pool)
+        eval_pool->submit([&train, &d] {
           const kernels::ScopedSerialKernels serial_kernels;
-          d.record = evaluator.evaluate(d.id, d.proposal, d.attempt, faults);
+          train(d);
         });
-      }
-      eval_pool->wait_idle();  // rethrows the first evaluation failure, if any
-      // Deliver in worker order — the same order the serial path interleaves
-      // bookkeeping — so virtual timestamps, float sums, the completion
-      // heap *and the journal byte stream* come out bit-identical.
-      for (Dispatch& d : wavefront) {
-        if (!d.cached && cfg.journal != nullptr)
-          cfg.journal->append(d.record, d.sel_state);
-        finish_dispatch(d.worker, d.id, std::move(d.record), std::move(d.proposal));
-      }
-      wavefront.clear();
+      else
+        train(d);
     }
+    if (eval_pool) eval_pool->wait_idle();  // rethrows the first failure, if any
+    // 3–4. Journal and book each slot in worker order, so virtual
+    // timestamps, float sums, the completion heap and the journal byte
+    // stream are identical wherever the slots trained.
+    for (Dispatch& d : wavefront) {
+      if (!d.cached && cfg.journal != nullptr) cfg.journal->append(d.record, d.sel_state);
+      finish_dispatch(d.worker, d.id, std::move(d.record), std::move(d.proposal));
+    }
+    wavefront.clear();
 
     if (in_flight.empty()) {
       // Nothing running.  If work remains (queued resubmissions or fresh
@@ -370,70 +478,31 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     }
 
     // Advance the clock to the next event.
-    if (metrics_enabled())
-      metrics().gauge("cluster.queue_depth").set(static_cast<double>(in_flight.size()));
     InFlight done = in_flight.top();
     in_flight.pop();
-    clock = done.finish;
-    if (tracer.enabled())
-      tracer.counter("in_flight", kTraceVirtualPid, clock * 1e6,
-                     static_cast<double>(in_flight.size()));
+    clock = done.record.virtual_finish;
+    telemetry.clock_advanced(clock, in_flight.size());
     if (done.crashed) {
-      if (live_metrics) metrics().counter("cluster.crashes_total").add(1);
-      if (done.record.attempt + 1 < max_attempts) {
-        resubmit.push_back(
-            Resubmit{done.record.id, std::move(done.proposal), done.record.attempt + 1});
+      const int next_attempt = done.record.attempt + 1;
+      const bool retry = next_attempt < max_attempts;
+      if (retry) {
+        resubmit.push_back(Resubmit{done.record.id, std::move(done.proposal), next_attempt});
         ++trace.resubmissions;
-        if (live_metrics) metrics().counter("cluster.resubmissions_total").add(1);
-        bus.emit(EventType::kResubmission, clock, -1, done.record.id,
-                 {{"attempt", std::to_string(done.record.attempt + 1)}});
       } else {
         ++trace.lost_evaluations;  // accounted, never silently dropped
-        if (live_metrics) metrics().counter("cluster.lost_evaluations_total").add(1);
         ++finished;
       }
-      publish_progress();
+      telemetry.crash_resolved(done.record.id, next_attempt, retry);
       continue;
     }
     strategy.report(Outcome{done.record.id, done.record.arch, done.record.score,
                             done.record.ckpt_key});
     trace.makespan = std::max(trace.makespan, done.record.virtual_finish);
     trace.retry_seconds += done.record.retry_seconds;
-    if (done.record.transfer_fallback) {
-      ++trace.transfer_fallbacks;
-      if (live_metrics) metrics().counter("cluster.transfer_fallbacks_total").add(1);
-    }
-    if (tracer.enabled()) emit_eval_spans(tracer, done.record);
-    if (bus.enabled()) {
-      bus.emit(EventType::kEvalFinished, done.record.virtual_finish, done.worker,
-               done.record.id,
-               {{"score", json_number(done.record.score)},
-                {"attempt", std::to_string(done.record.attempt)}});
-      if (done.record.tensors_transferred > 0)
-        bus.emit(EventType::kTransferHit, done.record.virtual_finish, done.worker,
-                 done.record.id,
-                 {{"parent", std::to_string(done.record.parent_id)},
-                  {"tensors", std::to_string(done.record.tensors_transferred)},
-                  {"values", std::to_string(done.record.values_transferred)}});
-      if (done.record.transfer_fallback)
-        bus.emit(EventType::kTransferFallback, done.record.virtual_finish, done.worker,
-                 done.record.id);
-    }
-    if (quality_on) {
-      const EvalRecord& r = done.record;
-      const bool improved =
-          quality.observe(QualityObservation{r.id, r.parent_id, r.tensors_transferred > 0,
-                                             r.transfer_fallback, r.first_epoch_score,
-                                             r.score});
-      if (improved)
-        bus.emit(EventType::kBestScoreImproved, r.virtual_finish, r.worker, r.id,
-                 {{"score", json_number(r.score)},
-                  {"evals_seen", std::to_string(quality.evals_seen())}});
-    }
+    if (done.record.transfer_fallback) ++trace.transfer_fallbacks;
     trace.records.push_back(std::move(done.record));
     ++finished;
-    if (live_metrics) metrics().counter("cluster.evals_completed_total").add(1);
-    publish_progress();
+    telemetry.completed(trace.records.back());
 
     if (cfg.faults.stall_after_evals >= 0 && !stall_fired &&
         finished >= cfg.faults.stall_after_evals &&
@@ -444,25 +513,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     }
   }
 
-  if (metrics_enabled()) {
-    MetricsRegistry& m = metrics();
-    const double wall = trace.makespan * cfg.num_workers;
-    m.gauge("cluster.worker_busy_seconds").add(busy_seconds);
-    m.gauge("cluster.worker_recovery_seconds").add(recovery_seconds);
-    m.gauge("cluster.worker_idle_seconds")
-        .add(std::max(0.0, wall - busy_seconds - recovery_seconds));
-  }
-  bus.emit(EventType::kRunFinished, trace.makespan, -1, -1,
-           {{"evals", std::to_string(trace.records.size())},
-            {"crashes", std::to_string(trace.crashed_attempts)},
-            {"resubmissions", std::to_string(trace.resubmissions)},
-            {"lost", std::to_string(trace.lost_evaluations)},
-            {"transfer_fallbacks", std::to_string(trace.transfer_fallbacks)},
-            {"makespan", json_number(trace.makespan)},
-            {"best_score", json_number(quality.best_score())},
-            {"transfer_hit_rate", json_number(quality.transfer_hit_rate())},
-            {"mean_lineage_depth", json_number(quality.mean_lineage_depth())},
-            {"kendall_tau_early_final", json_number(quality.early_final_tau())}});
+  telemetry.run_finished(trace);
   return trace;
 }
 

@@ -17,6 +17,7 @@
 
 #include "cluster/evaluator.hpp"
 #include "cluster/faults.hpp"
+#include "obs/prof/critical_path.hpp"
 
 namespace swt {
 
@@ -24,9 +25,9 @@ namespace swt {
 /// exp/journal.hpp's RunJournal; abstract here so the scheduler does not
 /// depend on the persistence layer).  The scheduler calls `lookup` at
 /// selection time — the instant a proposal is paired with an idle worker,
-/// a point whose strategy-RNG state is identical in the serial and
-/// wavefront execution paths — and `append` once a fresh attempt finished
-/// training, always on the scheduler thread in worker order.  A hit means
+/// a point whose strategy-RNG state is identical at every eval_parallelism
+/// — and `append` once a wavefront's fresh attempts finished training,
+/// always on the scheduler thread in worker order.  A hit means
 /// the attempt was already trained by a previous (killed) process: its
 /// evaluator-output record is reused verbatim and training is skipped,
 /// which is what makes a resumed run byte-identical to an uninterrupted
@@ -60,10 +61,11 @@ struct ClusterConfig {
   /// by construction — a candidate's parent must have *completed* (strictly
   /// earlier in virtual time) before the strategy could select it — so their
   /// real training can run concurrently without changing any result.  1 =
-  /// fully serial execution (the historical path); values > 1 run up to that
-  /// many evaluations at once on a dedicated thread pool, with per-eval
-  /// compute kernels forced serial.  Traces are bit-identical for every
-  /// value (see DESIGN.md "Wavefront parallelism").
+  /// the wavefront trains one slot after another on the scheduler thread,
+  /// kernels keeping their compute threads; values > 1 run up to that many
+  /// evaluations at once on a dedicated thread pool, with per-eval compute
+  /// kernels forced serial.  Traces are bit-identical for every value (see
+  /// DESIGN.md "Wavefront parallelism").
   int eval_parallelism = 1;
   /// Scale factor applied to measured training seconds before they are
   /// charged to the virtual clock (1.0 = measured time).
@@ -101,8 +103,15 @@ struct Trace {
   long transfer_fallbacks = 0; ///< completed evals that fell back to random init
 
   [[nodiscard]] double total_ckpt_overhead() const noexcept;
-  [[nodiscard]] double total_train_time() const noexcept;
 };
+
+/// A completed record's virtual envelope [virtual_start, virtual_finish)
+/// split into its phases: checkpoint stall and read first, then the
+/// compute window (transfer head, training remainder), then the write
+/// charge and the I/O retries.  The phases sum to the envelope.  The
+/// virtual-timeline spans and the trace-side critical-path input are both
+/// drawn from it.
+[[nodiscard]] prof::EvalSpan eval_phases(const EvalRecord& rec);
 
 /// Run `n_evals` candidate evaluations of `strategy` on a simulated cluster.
 /// `rng` drives the strategy's proposals only; per-candidate randomness is

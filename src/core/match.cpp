@@ -1,6 +1,7 @@
 #include "core/match.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <stdexcept>
 
 namespace swt {
@@ -12,6 +13,16 @@ const char* to_string(TransferMode m) noexcept {
     case TransferMode::kLCS: return "LCS";
   }
   return "?";
+}
+
+std::optional<TransferMode> parse_transfer_mode(std::string_view name) noexcept {
+  const auto same = [](char a, char b) {
+    return std::tolower(static_cast<unsigned char>(a)) ==
+           std::tolower(static_cast<unsigned char>(b));
+  };
+  for (const TransferMode m : {TransferMode::kNone, TransferMode::kLP, TransferMode::kLCS})
+    if (std::ranges::equal(name, std::string_view(to_string(m)), same)) return m;
+  return std::nullopt;
 }
 
 namespace {

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,8 @@ namespace swt {
 enum class TransferMode { kNone, kLP, kLCS };
 
 [[nodiscard]] const char* to_string(TransferMode m) noexcept;
+/// Inverse of to_string, ignoring case ("lcs" and "LCS" both name kLCS).
+[[nodiscard]] std::optional<TransferMode> parse_transfer_mode(std::string_view name) noexcept;
 
 using MatchPairs = std::vector<std::pair<std::size_t, std::size_t>>;
 

@@ -10,9 +10,11 @@ std::map<long, int> lineage_depths(const Trace& trace) {
   // any child that transferred from it.
   for (const auto& r : trace.records) {
     int d = 1;
-    if (r.tensors_transferred > 0 && r.parent_id >= 0) {
+    if (r.tensors_transferred > 0) {
+      // A provider absent from the trace (a warm-start seed) counts as a
+      // depth-1 model: the child still resumed trained weights.
       const auto it = depth.find(r.parent_id);
-      if (it != depth.end()) d = it->second + 1;
+      d = (it != depth.end() ? it->second : 1) + 1;
     }
     depth[r.id] = d;
   }
@@ -59,27 +61,7 @@ prof::CriticalPathInput critical_path_input(const Trace& trace) {
   prof::CriticalPathInput in;
   in.workers = trace.num_workers;
   in.evals.reserve(trace.records.size());
-  for (const EvalRecord& r : trace.records) {
-    prof::EvalSpan s;
-    s.id = r.id;
-    s.parent_id = r.tensors_transferred > 0 ? r.parent_id : -1;
-    s.worker = r.worker;
-    s.start = r.virtual_start;
-    s.finish = r.virtual_finish;
-    s.ready_at = std::max(r.virtual_finish, r.ckpt_available_at);
-    // Same envelope split as emit_eval_spans: the stall and read lead, the
-    // write charge and retries trail, transfer is the head of the compute.
-    s.stall = r.ckpt_read_wait;
-    s.ckpt_read = r.ckpt_read_cost;
-    s.ckpt_write = r.ckpt_write_charged;
-    s.ckpt_retry = r.retry_seconds;
-    const double compute =
-        std::max(0.0, (r.virtual_finish - r.virtual_start) - s.stall - s.ckpt_read -
-                          s.ckpt_write - s.ckpt_retry);
-    s.transfer = std::min(r.transfer_seconds, compute);
-    s.train = compute - s.transfer;
-    in.evals.push_back(std::move(s));
-  }
+  for (const EvalRecord& r : trace.records) in.evals.push_back(eval_phases(r));
   return in;
 }
 

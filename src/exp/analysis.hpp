@@ -16,7 +16,9 @@ namespace swt {
 
 /// Effective training depth of each record: 1 for models trained from
 /// scratch; 1 + depth(parent) when weights were actually transferred
-/// (tensors_transferred > 0).  Keyed by evaluation id.
+/// (tensors_transferred > 0), where a provider absent from the trace (a
+/// warm-start seed) has depth 1.  The same rule as QualityTelemetry's live
+/// lineage depth.  Keyed by evaluation id.
 [[nodiscard]] std::map<long, int> lineage_depths(const Trace& trace);
 
 struct LineageSummary {
@@ -41,9 +43,8 @@ struct ParentChildStats {
 /// Score deltas between each transferred child and its provider.
 [[nodiscard]] ParentChildStats parent_child_stats(const Trace& trace);
 
-/// Critical-path input rebuilt from a trace (CSV or in-memory).  The
-/// per-phase decomposition mirrors the virtual cluster's span emission
-/// (stall -> ckpt read -> transfer -> train -> ckpt write -> ckpt retry);
+/// Critical-path input rebuilt from a trace (CSV or in-memory): eval_phases
+/// of every record, the split the virtual cluster's spans are drawn from;
 /// per-fault intervals are not recorded in the CSV schema, so the faults
 /// list is empty here — use the span-trace builder when fault attribution
 /// matters.

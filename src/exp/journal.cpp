@@ -9,7 +9,9 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "exp/registry.hpp"
+#include "exp/trace_io.hpp"
 #include "obs/json.hpp"
 
 namespace swt {
@@ -21,13 +23,6 @@ constexpr std::string_view kFrameMid = "\",\"rec\":";     // then the payload
 constexpr std::size_t kPayloadOffset =
     kFramePrefix.size() + 8 + kFrameMid.size();  // 24
 
-std::string hex_u64(std::uint64_t v) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kHex[v & 0xF];
-  return out;
-}
-
 std::uint64_t parse_hex_u64(std::string_view hex) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(hex.data(), hex.data() + hex.size(), v, 16);
@@ -36,58 +31,11 @@ std::uint64_t parse_hex_u64(std::string_view hex) {
   return v;
 }
 
-std::string hex_u32(std::uint32_t v) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 7; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kHex[v & 0xF];
-  return out;
-}
-
-std::string arch_join(const ArchSeq& arch) {
-  std::string out;
-  for (std::size_t i = 0; i < arch.size(); ++i) {
-    if (i) out += '|';
-    out += std::to_string(arch[i]);
-  }
-  return out;
-}
-
-ArchSeq arch_split(std::string_view s) {
-  ArchSeq arch;
-  if (s.empty()) return arch;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t bar = std::min(s.find('|', pos), s.size());
-    int v = 0;
-    const auto [ptr, ec] = std::from_chars(s.data() + pos, s.data() + bar, v);
-    if (ec != std::errc{} || ptr != s.data() + bar)
-      throw std::runtime_error("journal: malformed arch token");
-    arch.push_back(v);
-    pos = bar + 1;
-  }
-  return arch;
-}
-
-TransferMode parse_mode(const std::string& name) {
-  if (name == "baseline") return TransferMode::kNone;
-  if (name == "LP") return TransferMode::kLP;
-  if (name == "LCS") return TransferMode::kLCS;
-  throw std::runtime_error("manifest: unknown transfer mode '" + name + "'");
-}
-
-CompressionKind parse_compression(const std::string& name) {
-  if (name == "none") return CompressionKind::kNone;
-  if (name == "fp16") return CompressionKind::kFp16;
-  if (name == "quant8") return CompressionKind::kQuant8;
-  throw std::runtime_error("manifest: unknown compression '" + name + "'");
-}
-
-std::uint64_t parse_u64_string(const std::string& s, const char* what) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size())
-    throw std::runtime_error(std::string("manifest: malformed ") + what);
-  return v;
+/// A parsed manifest field, or an error saying what was wrong with it.
+template <typename T>
+T require(std::optional<T> parsed, const std::string& what) {
+  if (!parsed) throw std::runtime_error("manifest: " + what);
+  return *parsed;
 }
 
 std::filesystem::path manifest_file(const std::filesystem::path& run_dir) {
@@ -99,11 +47,11 @@ std::filesystem::path manifest_file(const std::filesystem::path& run_dir) {
 std::string rng_state_to_hex(const Rng::State& st) {
   std::string out;
   out.reserve(81);
-  for (const std::uint64_t s : st.s) out += hex_u64(s);
+  for (const std::uint64_t s : st.s) out += to_hex(s);
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(st.cached_gauss));
   std::memcpy(&bits, &st.cached_gauss, sizeof(bits));
-  out += hex_u64(bits);
+  out += to_hex(bits);
   out += st.has_gauss ? '1' : '0';
   return out;
 }
@@ -140,7 +88,7 @@ std::string record_to_journal_line(const EvalRecord& rec, const Rng::State& sel_
   };
   num("id", std::to_string(rec.id), /*first=*/true);
   num("attempt", std::to_string(rec.attempt));
-  str("arch", arch_join(rec.arch));
+  str("arch", encode_arch(rec.arch));
   num("score", json_number(rec.score));
   num("first_epoch_score", json_number(rec.first_epoch_score));
   num("parent_id", std::to_string(rec.parent_id));
@@ -163,7 +111,7 @@ std::string record_to_journal_line(const EvalRecord& rec, const Rng::State& sel_
   std::string line;
   line.reserve(kPayloadOffset + p.size() + 2);
   line += kFramePrefix;
-  line += hex_u32(crc32(p.data(), p.size()));
+  line += to_hex(crc32(p.data(), p.size()), 8);
   line += kFrameMid;
   line += p;
   line += "}\n";
@@ -190,7 +138,9 @@ std::pair<EvalRecord, Rng::State> journal_line_to_record(std::string_view line) 
   EvalRecord rec;
   rec.id = static_cast<long>(v.number_or("id", -1));
   rec.attempt = static_cast<int>(v.number_or("attempt", 0));
-  rec.arch = arch_split(v.string_or("arch", ""));
+  std::optional<ArchSeq> arch = decode_arch(v.string_or("arch", ""));
+  if (!arch) throw std::runtime_error("journal: malformed arch token");
+  rec.arch = std::move(*arch);
   rec.score = v.number_or("score", 0.0);
   rec.first_epoch_score = v.number_or("first_epoch_score", 0.0);
   rec.parent_id = static_cast<long>(v.number_or("parent_id", -1));
@@ -244,7 +194,6 @@ std::string manifest_to_json(const RunManifest& m) {
   num("n_evals", std::to_string(c.n_evals));
   // 64-bit seeds are strings: a JSON double cannot represent every uint64.
   str("seed", std::to_string(c.seed));
-  num("time_scale", json_number(c.time_scale));
   str("compression", to_string(c.compression));
   num("train_subset_fraction", json_number(c.train_subset_fraction));
   num("estimation_epochs", std::to_string(c.estimation_epochs));
@@ -291,11 +240,14 @@ RunManifest parse_manifest(std::string_view json) {
     throw std::runtime_error("manifest: unknown app '" + m.app + "'");
   NasRunConfig& c = m.cfg;
   FaultConfig& f = c.cluster.faults;
-  c.mode = parse_mode(v.string_or("mode", ""));
+  const std::string mode = v.string_or("mode", "");
+  c.mode = require(parse_transfer_mode(mode), "unknown transfer mode '" + mode + "'");
   c.n_evals = static_cast<long>(v.number_or("n_evals", 0));
-  c.seed = parse_u64_string(v.string_or("seed", ""), "seed");
-  c.time_scale = v.number_or("time_scale", 0.0);
-  c.compression = parse_compression(v.string_or("compression", ""));
+  c.seed = require(parse_u64(v.string_or("seed", "")), "malformed seed");
+  // Older manifests also carry "time_scale", a retired override; ignored.
+  const std::string compression = v.string_or("compression", "");
+  c.compression =
+      require(parse_compression(compression), "unknown compression '" + compression + "'");
   c.train_subset_fraction = v.number_or("train_subset_fraction", 1.0);
   c.estimation_epochs = static_cast<int>(v.number_or("estimation_epochs", 0));
   c.evolution.population_size = static_cast<int>(v.number_or("population_size", 16));
@@ -307,7 +259,7 @@ RunManifest parse_manifest(std::string_view json) {
   c.cluster.async_checkpointing =
       v.contains("async_checkpointing") && v.at("async_checkpointing").boolean;
   c.cluster.async_enqueue_latency_s = v.number_or("async_enqueue_latency_s", 0.002);
-  f.seed = parse_u64_string(v.string_or("fault_seed", "0"), "fault_seed");
+  f.seed = require(parse_u64(v.string_or("fault_seed", "0")), "malformed fault_seed");
   f.mtbf_seconds = v.number_or("mtbf_seconds", 0.0);
   f.worker_recovery_s = v.number_or("worker_recovery_s", 30.0);
   f.max_attempts = static_cast<int>(v.number_or("max_attempts", 3));
@@ -322,7 +274,7 @@ RunManifest parse_manifest(std::string_view json) {
   // old behaviour, so legacy run directories resume unchanged.
   c.bank = v.contains("bank") && v.at("bank").boolean;
   c.bank_budget_bytes = static_cast<std::size_t>(
-      parse_u64_string(v.string_or("bank_budget_bytes", "0"), "bank_budget_bytes"));
+      require(parse_u64(v.string_or("bank_budget_bytes", "0")), "malformed bank_budget_bytes"));
   c.warm_start_dir = v.string_or("warm_start_dir", "");
   c.warm_start_k = static_cast<int>(v.number_or("warm_start_k", 0));
   m.config_hash = v.string_or("config_hash", "");

@@ -7,8 +7,9 @@
 // a kill, `nas_cli --resume` re-executes the whole search from the same
 // seed: the scheduler replays deterministically, and every attempt found in
 // the journal skips training — so the resumed run's trace is byte-identical
-// to an uninterrupted one, and only the (at most one) attempt whose record
-// was torn off by the kill is retrained.
+// to an uninterrupted one, and only the attempts trained but not yet
+// journaled when the kill hit (at most one wavefront, DESIGN.md §9) are
+// retrained.
 //
 // The manifest (`manifest.json`, written atomically at run start) pins the
 // run's full behaviour-relevant configuration and its registry config hash;

@@ -38,13 +38,6 @@ std::uint64_t hash_double(std::uint64_t h, double v) {
   return mix64(h, bits);
 }
 
-std::string hex64(std::uint64_t v) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kHex[v & 0xF];
-  return out;
-}
-
 std::filesystem::path registry_file(const std::string& dir) {
   return std::filesystem::path(dir) / "registry.ndjson";
 }
@@ -60,6 +53,13 @@ void append_number_array(std::string& out, const std::vector<double>& xs) {
 
 }  // namespace
 
+std::string to_hex(std::uint64_t v, int digits) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out(static_cast<std::size_t>(digits), '0');
+  for (int i = digits - 1; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kHex[v & 0xF];
+  return out;
+}
+
 std::string config_hash(std::string_view app_name, const NasRunConfig& cfg) {
   std::uint64_t h = 0x5EA6C4;
   h = hash_str(h, app_name);
@@ -72,7 +72,7 @@ std::string config_hash(std::string_view app_name, const NasRunConfig& cfg) {
   h = mix64(h, static_cast<std::uint64_t>(cfg.estimation_epochs));
   h = mix64(h, static_cast<std::uint64_t>(cfg.evolution.population_size));
   h = mix64(h, static_cast<std::uint64_t>(cfg.evolution.sample_size));
-  h = hash_double(h, cfg.time_scale);
+  h = hash_double(h, 0.0);  // a retired time-scale override, kept so hashes stay stable
   h = hash_double(h, cfg.train_subset_fraction);
   h = hash_double(h, cfg.cluster.fixed_train_seconds);
   const FaultConfig& f = cfg.cluster.faults;
@@ -97,7 +97,7 @@ std::string config_hash(std::string_view app_name, const NasRunConfig& cfg) {
     h = hash_str(h, "warm:" + cfg.warm_start_dir.string());
     h = mix64(h, static_cast<std::uint64_t>(cfg.warm_start_k));
   }
-  return hex64(h);
+  return to_hex(h);
 }
 
 RunRecord make_run_record(std::string_view app_name, const NasRunConfig& cfg,

@@ -68,6 +68,10 @@ struct RunRecord {
 /// compare_runs warns about it.
 [[nodiscard]] std::string config_hash(std::string_view app_name, const NasRunConfig& cfg);
 
+/// The low `digits` hex digits of `v`, lowercase and zero-padded: config
+/// hashes, journal frame CRCs and RNG state words all use this spelling.
+[[nodiscard]] std::string to_hex(std::uint64_t v, int digits = 16);
+
 /// Summarize a finished run.  Top-K scores, transfer hit rate and the
 /// early-vs-final Kendall tau are recomputed from the trace so the record
 /// is self-contained even when metrics were disabled.  A non-null `store`

@@ -97,6 +97,22 @@ void print_failure_summary(std::ostream& os, const Trace& trace) {
      << trace.records.size() << " evaluations\n";
 }
 
+void print_phase_shares(std::ostream& os, const prof::CriticalPathReport& r) {
+  os << r.workers << " workers, " << TableReport::cell(r.makespan - r.t0, 2)
+     << " virtual s makespan, " << TableReport::cell(r.worker_seconds, 2)
+     << " worker-seconds\n\n";
+  TableReport table({"phase", "worker s", "share"});
+  // Stable presentation order, largest systems concern first.
+  for (const char* phase :
+       {"train", "transfer", "checkpoint", "checkpoint stall", "fault", "idle"}) {
+    const auto it = r.phase_seconds.find(phase);
+    if (it == r.phase_seconds.end() || it->second <= 0.0) continue;
+    table.add_row({phase, TableReport::cell(it->second, 2),
+                   TableReport::cell_pct(it->second / r.worker_seconds)});
+  }
+  table.print(os);
+}
+
 void print_metrics_snapshot(std::ostream& os, const MetricsSnapshot& snap) {
   if (snap.empty()) return;
   print_banner(os, "metrics snapshot");

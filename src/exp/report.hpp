@@ -7,6 +7,7 @@
 
 #include "cluster/virtual_cluster.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof/critical_path.hpp"
 
 namespace swt {
 
@@ -73,5 +74,10 @@ void print_failure_summary(std::ostream& os, const Trace& trace);
 /// aggregates (count, mean, p50/p90/p99, max).  Prints nothing for an empty
 /// snapshot, so uninstrumented runs stay quiet.
 void print_metrics_snapshot(std::ostream& os, const MetricsSnapshot& snap);
+
+/// Print how every worker-second of a critical-path report's window was
+/// spent: one row per phase (train / transfer / checkpoint / checkpoint
+/// stall / fault / idle) with its virtual seconds and share.
+void print_phase_shares(std::ostream& os, const prof::CriticalPathReport& r);
 
 }  // namespace swt

@@ -150,7 +150,7 @@ NasRun run_nas(const AppConfig& app, const NasRunConfig& cfg) {
   }
   Rng rng(mix64(cfg.seed, 0x5EA6C4));
   ClusterConfig cluster = cfg.cluster;
-  cluster.time_scale = cfg.time_scale > 0.0 ? cfg.time_scale : app.time_scale;
+  cluster.time_scale = app.time_scale;
   if (cluster.faults.active() && cluster.faults.seed == 0)
     cluster.faults.seed = mix64(cfg.seed, 0xFA017);
   cluster.journal = journal.get();

@@ -13,9 +13,8 @@ struct NasRunConfig {
   TransferMode mode = TransferMode::kNone;
   long n_evals = 80;
   std::uint64_t seed = 1;
+  /// cluster.time_scale is replaced by the app's time_scale.
   ClusterConfig cluster = {};
-  /// Overrides cluster.time_scale when > 0; otherwise app.time_scale is used.
-  double time_scale = 0.0;
   /// Checkpoint payload compression for the run's store (see compress.hpp).
   CompressionKind compression = CompressionKind::kNone;
   /// Estimation-time training-data fraction (see Evaluator::Config).

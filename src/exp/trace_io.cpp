@@ -1,5 +1,7 @@
 #include "exp/trace_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -34,17 +36,6 @@ constexpr const char* kLegacyHeader =
 constexpr std::size_t kColumns = 25;
 constexpr std::size_t kColumnsV2 = 24;
 constexpr std::size_t kLegacyColumns = 19;
-
-/// Architecture sequences are encoded as '|'-joined ints so the CSV stays
-/// one-value-per-column.
-std::string encode_arch(const ArchSeq& arch) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < arch.size(); ++i) {
-    if (i) os << '|';
-    os << arch[i];
-  }
-  return os.str();
-}
 
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> cells;
@@ -125,24 +116,30 @@ class RowReader {
   std::size_t idx_ = 0;
 };
 
-ArchSeq decode_arch(const std::string& text, const RowReader& row) {
+}  // namespace
+
+std::string encode_arch(const ArchSeq& arch) {
+  std::string out;
+  for (std::size_t i = 0; i < arch.size(); ++i) {
+    if (i) out += '|';
+    out += std::to_string(arch[i]);
+  }
+  return out;
+}
+
+std::optional<ArchSeq> decode_arch(std::string_view text) {
   ArchSeq arch;
   if (text.empty()) return arch;
-  std::istringstream is(text);
-  std::string token;
-  while (std::getline(is, token, '|')) {
-    try {
-      std::size_t pos = 0;
-      arch.push_back(std::stoi(token, &pos));
-      if (pos != token.size()) throw std::invalid_argument("trailing characters");
-    } catch (const std::exception&) {
-      throw row.error("arch", text, "invalid op id in");
-    }
+  for (std::size_t pos = 0; pos <= text.size();) {
+    const std::size_t bar = std::min(text.find('|', pos), text.size());
+    int v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data() + pos, text.data() + bar, v);
+    if (ec != std::errc{} || ptr != text.data() + bar) return std::nullopt;
+    arch.push_back(v);
+    pos = bar + 1;
   }
   return arch;
 }
-
-}  // namespace
 
 void write_trace_csv(std::ostream& os, const Trace& trace) {
   os.precision(17);
@@ -221,7 +218,10 @@ Trace read_trace_csv(std::istream& is, bool* truncated) {
       RowReader row(cells, line_no);
       EvalRecord r;
       r.id = row.next_long("id");
-      r.arch = decode_arch(row.next_raw("arch"), row);
+      const std::string& arch = row.next_raw("arch");
+      const std::optional<ArchSeq> decoded = decode_arch(arch);
+      if (!decoded) throw row.error("arch", arch, "invalid op id in");
+      r.arch = *decoded;
       r.score = row.next_double("score");
       r.parent_id = row.next_long("parent_id");
       r.ckpt_key = row.next_raw("ckpt_key");

@@ -7,11 +7,20 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "cluster/virtual_cluster.hpp"
 
 namespace swt {
+
+/// An architecture sequence as '|'-joined op ids ("3|0|7"; empty for an
+/// empty sequence), the spelling of trace CSVs and journal records.
+[[nodiscard]] std::string encode_arch(const ArchSeq& arch);
+/// Inverse of encode_arch; nullopt unless every token is exactly one
+/// decimal int (no sign prefix, whitespace or empty token).
+[[nodiscard]] std::optional<ArchSeq> decode_arch(std::string_view text);
 
 /// Write a header plus one row per record (completion order).
 void write_trace_csv(std::ostream& os, const Trace& trace);

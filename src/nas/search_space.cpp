@@ -100,7 +100,8 @@ NetworkPtr SearchSpace::build(const ArchSeq& arch) const {
   for (std::size_t t = 0; t < towers.size(); ++t) {
     Shape out_shape;
     tower_nets.push_back(build_segment(*this, arch, towers[t], input_shapes[t],
-                                       "t" + std::to_string(t) + "/", &out_shape));
+                                       std::string("t").append(std::to_string(t)) + "/",
+                                       &out_shape));
     if (out_shape.rank() != 1)
       throw std::logic_error("SearchSpace " + name + ": tower " + std::to_string(t) +
                              " output must be rank-1, got " + out_shape.to_string());

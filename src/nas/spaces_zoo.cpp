@@ -64,7 +64,8 @@ SearchSpace make_cifar_space(std::int64_t hw) {
   const std::int64_t base_filters[3] = {4, 8, 12};
   for (int b = 0; b < 3; ++b) {
     for (int rep = 0; rep < 2; ++rep) {
-      const std::string tag = "b" + std::to_string(b) + "r" + std::to_string(rep);
+      const std::string tag =
+          std::string("b").append(std::to_string(b)) + "r" + std::to_string(rep);
       add_vn(space, conv2d_vn("conv_" + tag, base_filters[b]), slots);
       add_vn(space, pool2d_vn("pool_" + tag), slots);
       add_vn(space, batchnorm_vn("bn_" + tag), slots);
@@ -165,7 +166,8 @@ SearchSpace make_uno_space(std::int64_t gene, std::int64_t drug, std::int64_t ex
 
   for (int t = 0; t < 3; ++t)
     for (int i = 0; i < 3; ++i)
-      add_vn(space, mixed_vn("t" + std::to_string(t) + "_vn" + std::to_string(i)),
+      add_vn(space,
+             mixed_vn(std::string("t").append(std::to_string(t)) + "_vn" + std::to_string(i)),
              space.towers[static_cast<std::size_t>(t)]);
   for (int i = 0; i < 4; ++i)
     add_vn(space, mixed_vn("trunk_vn" + std::to_string(i)), space.trunk);

@@ -26,8 +26,9 @@
 namespace swt::prof {
 
 /// One completed evaluation with its per-phase decomposition (seconds).
-/// Phases mirror `emit_eval_spans`: stall + ckpt_read + transfer + train +
-/// ckpt_write + ckpt_retry == finish - start by construction.
+/// Phases as `eval_phases` (cluster/virtual_cluster.hpp) splits a record:
+/// stall + ckpt_read + transfer + train + ckpt_write + ckpt_retry ==
+/// finish - start by construction.
 struct EvalSpan {
   long id = -1;
   long parent_id = -1;

@@ -36,7 +36,8 @@ bool QualityTelemetry::observe(const QualityObservation& obs) {
   if (obs.transfer_fallback) ++transfer_fallbacks_;
 
   // Lineage depth: 1 from scratch, 1 + depth(parent) when weights actually
-  // moved (same rule as the post-hoc lineage_depths in exp/analysis).
+  // moved, an unseen provider (a warm-start seed) counting as depth 1 (same
+  // rule as the post-hoc lineage_depths in exp/analysis).
   int depth = 1;
   if (obs.transferred) {
     const auto it = depth_by_id_.find(obs.parent_id);

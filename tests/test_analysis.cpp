@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hpp"
+#include "obs/quality.hpp"
 
 namespace swt {
 namespace {
@@ -43,6 +44,34 @@ TEST(LineageDepth, FailedTransferBreaksTheChain) {
   const auto depth = lineage_depths(trace);
   EXPECT_EQ(depth.at(1), 1);
   EXPECT_EQ(depth.at(2), 2);
+}
+
+TEST(LineageDepth, SameRuleAsLiveQualityTelemetry) {
+  // Warm-start seeds have negative ids and never appear in the trace; a
+  // child that resumed one still starts from trained weights, so the
+  // post-hoc and the live lineage depths both count it as depth 2.
+  Trace trace;
+  trace.records = {record(0, 0.1),        record(1, 0.2, -3, 4), record(2, 0.3, 1, 4),
+                   record(3, 0.4, 0, 0),  record(4, 0.5, -1, 2), record(5, 0.6, 2, 4)};
+  QualityTelemetry live;
+  for (const EvalRecord& r : trace.records)
+    (void)live.observe({.eval_id = r.id,
+                        .parent_id = r.parent_id,
+                        .transferred = r.tensors_transferred > 0,
+                        .transfer_fallback = false,
+                        .first_epoch_score = r.score,
+                        .score = r.score});
+  const auto depth = lineage_depths(trace);
+  std::map<int, long> offline;
+  for (const auto& [id, d] : depth) ++offline[d];
+  EXPECT_EQ(offline, live.lineage_histogram());
+  EXPECT_EQ(depth.at(1), 2);
+  EXPECT_EQ(depth.at(2), 3);
+  EXPECT_EQ(depth.at(4), 2);
+  EXPECT_EQ(depth.at(5), 4);
+  const LineageSummary s = summarize_lineage(trace);
+  EXPECT_DOUBLE_EQ(s.mean_depth, live.mean_lineage_depth());
+  EXPECT_EQ(s.max_depth, live.max_lineage_depth());
 }
 
 TEST(LineageSummary, ComputesAggregates) {

@@ -214,6 +214,14 @@ TEST(Compress, KindNames) {
   EXPECT_STREQ(to_string(CompressionKind::kQuant8), "quant8");
 }
 
+TEST(Compress, ParseKindNames) {
+  for (const CompressionKind k :
+       {CompressionKind::kNone, CompressionKind::kFp16, CompressionKind::kQuant8})
+    EXPECT_EQ(parse_compression(to_string(k)), k);
+  EXPECT_FALSE(parse_compression("FP16").has_value());
+  EXPECT_FALSE(parse_compression("").has_value());
+}
+
 class HalfSweep : public ::testing::TestWithParam<float> {};
 
 TEST_P(HalfSweep, MonotoneNearValue) {

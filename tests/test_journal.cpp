@@ -218,6 +218,19 @@ TEST(Manifest, ParseRejectsGarbage) {
   EXPECT_THROW((void)parse_manifest(bad), std::runtime_error);
 }
 
+TEST(Manifest, IgnoresRetiredTimeScaleKey) {
+  // Manifests written before the time-scale override was retired carry a
+  // "time_scale" key; they still parse and keep their config hash.
+  const RunManifest m = make_manifest("mnist", sample_cfg());
+  std::string legacy = manifest_to_json(m);
+  const auto pos = legacy.find(",\"compression\"");
+  ASSERT_NE(pos, std::string::npos);
+  legacy.insert(pos, ",\"time_scale\":0");
+  const RunManifest back = parse_manifest(legacy);
+  EXPECT_EQ(back.config_hash, m.config_hash);
+  EXPECT_EQ(config_hash(back.app, back.cfg), m.config_hash);
+}
+
 TEST(Manifest, WriteThenLoad) {
   TempDir dir("manifest");
   EXPECT_FALSE(load_manifest(dir.path()).has_value());

@@ -194,6 +194,16 @@ TEST(Match, ModeNames) {
   EXPECT_STREQ(to_string(TransferMode::kLCS), "LCS");
 }
 
+TEST(Match, ParseModeNamesIgnoringCase) {
+  for (const TransferMode m : {TransferMode::kNone, TransferMode::kLP, TransferMode::kLCS})
+    EXPECT_EQ(parse_transfer_mode(to_string(m)), m);
+  EXPECT_EQ(parse_transfer_mode("lp"), TransferMode::kLP);    // nas_cli's spelling
+  EXPECT_EQ(parse_transfer_mode("lcs"), TransferMode::kLCS);
+  EXPECT_FALSE(parse_transfer_mode("").has_value());
+  EXPECT_FALSE(parse_transfer_mode("lcs ").has_value());
+  EXPECT_FALSE(parse_transfer_mode("none").has_value());
+}
+
 TEST(Match, MultiDimensionalShapeTokens) {
   ShapeSeq a = {Shape{3, 3, 1, 4}, Shape{4}, Shape{64, 10}};
   ShapeSeq b = {Shape{3, 3, 1, 4}, Shape{4}, Shape{128, 10}};

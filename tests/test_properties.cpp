@@ -134,7 +134,7 @@ Checkpoint random_checkpoint(Rng& rng) {
   ckpt.score = rng.uniform(-1.0, 1.0);
   const int n_layers = 1 + static_cast<int>(rng.uniform_index(6));
   for (int l = 0; l < n_layers; ++l) {
-    const std::string prefix = "l" + std::to_string(l);
+    const std::string prefix = std::string("l").append(std::to_string(l));
     const std::int64_t w = 1 + static_cast<std::int64_t>(rng.uniform_index(8));
     const std::int64_t h = 1 + static_cast<std::int64_t>(rng.uniform_index(8));
     Tensor kernel(Shape{w, h});

@@ -433,5 +433,14 @@ TEST(TraceIo, InteriorCorruptionThrowsEvenWithTheFlag) {
   EXPECT_THROW((void)read_trace_csv(in, &truncated), std::runtime_error);
 }
 
+TEST(TraceIo, ArchCodecIsStrict) {
+  EXPECT_EQ(encode_arch({3, 0, 17}), "3|0|17");
+  EXPECT_EQ(encode_arch({}), "");
+  EXPECT_EQ(decode_arch("3|0|17"), (ArchSeq{3, 0, 17}));
+  EXPECT_EQ(decode_arch(""), ArchSeq{});
+  for (const char* bad : {"1||2", "1|2|", "|1", " 1", "+1", "1x", "1|oops"})
+    EXPECT_FALSE(decode_arch(bad).has_value()) << bad;
+}
+
 }  // namespace
 }  // namespace swt

@@ -14,6 +14,9 @@
 #include "data/generators.hpp"
 #include "exp/trace_io.hpp"
 #include "nas/spaces_zoo.hpp"
+#include "obs/events.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span_tracer.hpp"
 
 namespace swt {
 namespace {
@@ -43,6 +46,69 @@ class WavefrontFixture : public ::testing::Test {
     cfg.fixed_train_seconds = 1.0;
     cfg.faults = faults;
     return run_search(evaluator, strategy, n_evals, cfg, rng);
+  }
+
+  /// What the scheduler thread reports about one run, rendered for byte
+  /// comparison: the virtual-timeline spans, the bus events except the
+  /// evaluator's ckpt_* ones (wall time zeroed), and the cluster.*,
+  /// search.* and quality.* metrics.
+  struct Telemetry {
+    std::string spans;
+    std::string events;
+    std::string metrics;
+  };
+
+  Telemetry run_observed(int eval_parallelism, const FaultConfig& faults) {
+    SpanTracer& tracer = SpanTracer::global();
+    EventBus& bus = EventBus::global();
+    std::vector<Event> seen;
+    struct Instruments {
+      SpanTracer& tracer;
+      EventBus& bus;
+      int listener;
+      ~Instruments() {
+        bus.remove_listener(listener);
+        bus.set_enabled(false);
+        tracer.set_enabled(false);
+        tracer.clear();
+      }
+    } on{tracer, bus, bus.add_listener([&seen](const Event& ev) {
+           switch (ev.type) {
+             case EventType::kCkptRead:
+             case EventType::kCkptWrite:
+             case EventType::kCkptRetry:
+             case EventType::kCkptGiveUp: return;
+             default: seen.push_back(ev);
+           }
+         })};
+    tracer.clear();
+    tracer.set_enabled(true);
+    bus.set_enabled(true);
+    metrics().reset();
+    (void)run(eval_parallelism, TransferMode::kLCS, 4, 24, faults);
+
+    Telemetry t;
+    std::vector<TraceEvent> spans = tracer.events();
+    std::erase_if(spans, [](const TraceEvent& ev) { return ev.pid != kTraceVirtualPid; });
+    std::ostringstream span_json;
+    write_trace_json(span_json, spans);
+    t.spans = span_json.str();
+    for (Event& ev : seen) {
+      ev.wall_s = 0.0;
+      t.events += event_to_ndjson(ev) + '\n';
+    }
+    MetricsSnapshot snap = metrics().snapshot();
+    const auto foreign = [](const auto& kv) {
+      return kv.first.rfind("cluster.", 0) != 0 && kv.first.rfind("search.", 0) != 0 &&
+             kv.first.rfind("quality.", 0) != 0;
+    };
+    std::erase_if(snap.counters, foreign);
+    std::erase_if(snap.gauges, foreign);
+    std::erase_if(snap.histograms, foreign);
+    std::ostringstream metric_json;
+    write_metrics_json(metric_json, snap);
+    t.metrics = metric_json.str();
+    return t;
   }
 
   static std::string csv(const Trace& trace) {
@@ -90,6 +156,31 @@ TEST_F(WavefrontFixture, ByteIdenticalUnderFaults) {
   EXPECT_EQ(a.resubmissions, b.resubmissions);
   EXPECT_EQ(a.lost_evaluations, b.lost_evaluations);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+}
+
+TEST_F(WavefrontFixture, TelemetryIdenticalAtEveryParallelism) {
+  // The scheduler reports every lifecycle fact on its own thread in
+  // scheduler order, so what the instruments see is part of the
+  // determinism contract too — with and without injected faults.
+  FaultConfig faulty;
+  faulty.mtbf_seconds = 15.0;
+  faulty.straggler_rate = 0.2;
+  faulty.straggler_multiplier = 3.0;
+  faulty.ckpt_read_fault_rate = 0.1;
+  faulty.ckpt_write_fault_rate = 0.1;
+  faulty.worker_recovery_s = 5.0;
+  for (const FaultConfig& faults : {FaultConfig{}, faulty}) {
+    const Telemetry serial = run_observed(1, faults);
+    EXPECT_NE(serial.spans.find("\"eval 0\""), std::string::npos);
+    EXPECT_NE(serial.events.find("\"ev\":\"run_finished\""), std::string::npos);
+    EXPECT_NE(serial.metrics.find("cluster.worker_busy_seconds"), std::string::npos);
+    for (int p : {2, 4}) {
+      const Telemetry parallel = run_observed(p, faults);
+      EXPECT_EQ(serial.spans, parallel.spans) << "eval_parallelism=" << p;
+      EXPECT_EQ(serial.events, parallel.events) << "eval_parallelism=" << p;
+      EXPECT_EQ(serial.metrics, parallel.metrics) << "eval_parallelism=" << p;
+    }
+  }
 }
 
 TEST_F(WavefrontFixture, ParallelismBeyondWorkerCountIsClamped) {
