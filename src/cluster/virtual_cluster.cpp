@@ -114,19 +114,13 @@ class SearchTelemetry {
   void scheduled(double seconds) { busy_seconds_ += seconds; }
 
   /// `rec` crashed at its virtual_finish, destroying `lost_s` of compute;
-  /// its worker recovers for `recovery_s`.
+  /// its worker recovers for `recovery_s`.  The search may end before the
+  /// recovery does, so the fault's worker time is booked (and its spans
+  /// emitted) by run_finished, clipped at the makespan.
   void crashed(const EvalRecord& rec, double lost_s, double recovery_s) {
     const double crash_at = rec.virtual_finish;
-    busy_seconds_ += crash_at - rec.virtual_start;
-    recovery_seconds_ += recovery_s;
-    if (tracer_.enabled()) {
-      tracer_.complete("crash (eval " + std::to_string(rec.id) + ")", "fault",
-                       kTraceVirtualPid, rec.worker, rec.virtual_start * kUsPerS,
-                       (crash_at - rec.virtual_start) * kUsPerS,
-                       {{"attempt", std::to_string(rec.attempt)}});
-      tracer_.complete("recovery", "fault", kTraceVirtualPid, rec.worker,
-                       crash_at * kUsPerS, recovery_s * kUsPerS);
-    }
+    crashes_.push_back({rec.id, rec.attempt, rec.worker, rec.virtual_start, crash_at,
+                        crash_at + recovery_s});
     if (bus_.enabled()) {
       bus_.emit(EventType::kWorkerCrashed, crash_at, rec.worker, rec.id,
                 {{"attempt", std::to_string(rec.attempt)}, {"lost_s", json_number(lost_s)}});
@@ -195,6 +189,22 @@ class SearchTelemetry {
 
   /// The search ended with `trace`.
   void run_finished(const Trace& trace) {
+    const double end = trace.makespan;
+    for (const Crash& c : crashes_) {
+      const double crash_at = std::min(c.crash_at, end);
+      const double recovered = std::min(c.recovered_at, end);
+      busy_seconds_ += std::max(0.0, crash_at - c.start);
+      recovery_seconds_ += std::max(0.0, recovered - crash_at);
+      if (!tracer_.enabled()) continue;
+      if (crash_at > c.start)
+        tracer_.complete("crash (eval " + std::to_string(c.id) + ")", "fault",
+                         kTraceVirtualPid, c.worker, c.start * kUsPerS,
+                         (crash_at - c.start) * kUsPerS,
+                         {{"attempt", std::to_string(c.attempt)}});
+      if (recovered > crash_at)
+        tracer_.complete("recovery", "fault", kTraceVirtualPid, c.worker,
+                         crash_at * kUsPerS, (recovered - crash_at) * kUsPerS);
+    }
     if (live_metrics_) {
       MetricsRegistry& m = metrics();
       const double wall = trace.makespan * trace.num_workers;
@@ -259,6 +269,13 @@ class SearchTelemetry {
   const bool live_metrics_ = metrics_enabled();
   bool quality_on_ = false;
   QualityTelemetry quality_;
+  /// A crashed attempt's worker occupancy: the lost work, then recovery.
+  struct Crash {
+    long id;
+    int attempt, worker;
+    double start, crash_at, recovered_at;
+  };
+  std::vector<Crash> crashes_;
   double busy_seconds_ = 0.0;      // worker-seconds spent on attempts
   double recovery_seconds_ = 0.0;  // worker-seconds lost to crash recovery
   // The live-progress view: virtual clock, events left in flight, fresh

@@ -83,18 +83,24 @@ Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Conv2D::backward(const Tensor& dy) {
+  Tensor dx(cached_x_.shape());
+  grads(dy, dx.data());
+  return dx;
+}
+
+void Conv2D::backward_params(const Tensor& dy) { grads(dy, nullptr); }
+
+void Conv2D::grads(const Tensor& dy, float* dx) {
   const auto& s = cached_x_.shape();
   const std::int64_t n = s[0], h = s[1], w = s[2];
   const std::int64_t oh = dy.shape()[1], ow = dy.shape()[2];
-  Tensor dx(s);
   const kernels::ConvGeom g{n,  h,  w,       cin_,
                             k_, k_, cout_,   oh,
                             ow, stride_,
                             pad_lo_for(h, k_, oh, stride_, pad_),
                             pad_lo_for(w, k_, ow, stride_, pad_)};
-  kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), dx.data(), dw_.data(),
+  kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), dx, dw_.data(),
                          db_.data(), g);
-  return dx;
 }
 
 void Conv2D::collect_params(std::vector<ParamRef>& out) {
@@ -152,16 +158,22 @@ Tensor Conv1D::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Conv1D::backward(const Tensor& dy) {
+  Tensor dx(cached_x_.shape());
+  grads(dy, dx.data());
+  return dx;
+}
+
+void Conv1D::backward_params(const Tensor& dy) { grads(dy, nullptr); }
+
+void Conv1D::grads(const Tensor& dy, float* dx) {
   const auto& s = cached_x_.shape();
   const std::int64_t n = s[0], len = s[1];
   const std::int64_t olen = dy.shape()[1];
-  Tensor dx(s);
   const kernels::ConvGeom g = kernels::conv1d_geom(
       n, len, cin_, k_, cout_, olen, stride_,
       pad_lo_for(len, k_, olen, stride_, pad_));
-  kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), dx.data(), dw_.data(),
+  kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), dx, dw_.data(),
                          db_.data(), g);
-  return dx;
 }
 
 void Conv1D::collect_params(std::vector<ParamRef>& out) {

@@ -1,5 +1,6 @@
 // Convolution layers ("same" or "valid" padding, channels-last), lowered to
-// the blocked im2col + GEMM kernels in tensor/kernels.hpp.
+// the conv kernels in tensor/kernels.hpp, which put their vector lanes on
+// each pass's wide axis (output channels forward, kernel taps backward).
 //
 // Conv2D: input (N, H, W, Cin), kernel (KH, KW, Cin, Cout).
 // Conv1D: input (N, L, Cin),    kernel (K, Cin, Cout).
@@ -32,10 +33,14 @@ class Conv2D final : public Layer {
   void init(Rng& rng) override;
   [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
   [[nodiscard]] Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   void collect_params(std::vector<ParamRef>& out) override;
   [[nodiscard]] std::string describe() const override;
 
  private:
+  /// dw/db accumulate; dx (zero-filled, input-shaped) too unless null.
+  void grads(const Tensor& dy, float* dx);
+
   std::string name_;
   std::int64_t k_, cin_, cout_, stride_;
   Padding pad_;
@@ -53,10 +58,14 @@ class Conv1D final : public Layer {
   void init(Rng& rng) override;
   [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
   [[nodiscard]] Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   void collect_params(std::vector<ParamRef>& out) override;
   [[nodiscard]] std::string describe() const override;
 
  private:
+  /// dw/db accumulate; dx (zero-filled, input-shaped) too unless null.
+  void grads(const Tensor& dy, float* dx);
+
   std::string name_;
   std::int64_t k_, cin_, cout_, stride_;
   Padding pad_;

@@ -54,6 +54,11 @@ class Layer {
   /// Given dL/d(output), accumulate parameter gradients and return dL/d(input).
   [[nodiscard]] virtual Tensor backward(const Tensor& dy) = 0;
 
+  /// backward() for a network's first layer with parameters, whose input
+  /// gradient nobody reads: accumulate parameter gradients only.  Layers
+  /// with a costly input gradient (Dense, Conv1D, Conv2D) skip computing it.
+  virtual void backward_params(const Tensor& dy) { (void)backward(dy); }
+
   /// Append this layer's parameters (if any) to `out`.
   virtual void collect_params(std::vector<ParamRef>& /*out*/) {}
 

@@ -38,7 +38,24 @@ Tensor Sequential::forward(std::span<const Tensor> inputs, bool train) {
   return h;
 }
 
-void Sequential::backward(const Tensor& dy) { (void)backward_to_input(dy); }
+Sequential::Sequential(std::vector<LayerPtr> layers) {
+  for (auto& layer : layers) add(std::move(layer));
+}
+
+void Sequential::add(LayerPtr layer) {
+  std::vector<ParamRef> params;
+  layer->collect_params(params);
+  layers_.push_back(std::move(layer));
+  if (first_param_layer_ == layers_.size() - 1 && params.empty()) ++first_param_layer_;
+}
+
+void Sequential::backward(const Tensor& dy) {
+  if (first_param_layer_ == layers_.size()) return;
+  Tensor g = dy;
+  for (std::size_t i = layers_.size() - 1; i > first_param_layer_; --i)
+    g = layers_[i]->backward(g);
+  layers_[first_param_layer_]->backward_params(g);
+}
 
 Tensor Sequential::backward_to_input(const Tensor& dy) {
   Tensor g = dy;
@@ -125,7 +142,7 @@ void MultiTowerNet::backward(const Tensor& dy) {
       float* dst = dt.data() + i * w;
       for (std::int64_t j = 0; j < w; ++j) dst[j] = src[j];
     }
-    (void)towers_[t]->backward_to_input(dt);
+    towers_[t]->backward(dt);
     offset += w;
   }
   // Gradient w.r.t. the raw fourth input is discarded (inputs are data).

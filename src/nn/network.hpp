@@ -57,13 +57,15 @@ using NetworkPtr = std::unique_ptr<Network>;
 class Sequential final : public Network {
  public:
   Sequential() = default;
-  explicit Sequential(std::vector<LayerPtr> layers) : layers_(std::move(layers)) {}
+  explicit Sequential(std::vector<LayerPtr> layers);
 
-  void add(LayerPtr layer) { layers_.push_back(std::move(layer)); }
+  void add(LayerPtr layer);
   [[nodiscard]] std::size_t depth() const noexcept { return layers_.size(); }
 
   [[nodiscard]] std::size_t num_inputs() const noexcept override { return 1; }
   [[nodiscard]] Tensor forward(std::span<const Tensor> inputs, bool train) override;
+  /// Gradients reach parameters only: layers before the first one with
+  /// parameters are skipped, and that one computes no input gradient.
   void backward(const Tensor& dy) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void set_train_rng(Rng* rng) override;
@@ -75,6 +77,7 @@ class Sequential final : public Network {
 
  private:
   std::vector<LayerPtr> layers_;
+  std::size_t first_param_layer_ = 0;  ///< layers_.size() when none has any
 };
 
 class MultiTowerNet final : public Network {

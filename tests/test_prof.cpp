@@ -479,6 +479,36 @@ TEST(CriticalPath, TraceBuilderDecomposesTheEnvelopeExactly) {
   EXPECT_NEAR(r.makespan - r.t0, trace.makespan, 1e-9);
 }
 
+TEST(CriticalPath, FaultedRunWindowEndsAtTheMakespan) {
+  // Worker crashes with a 30 s recovery: a recovery that would outlast the
+  // search is clipped at the makespan, so the span-derived window is the
+  // run's window and the fault/idle shares are not inflated.
+  const AppConfig app = make_app(AppId::kMnist, 7);
+  NasRunConfig cfg;
+  cfg.mode = TransferMode::kLCS;
+  cfg.n_evals = 30;
+  cfg.seed = 7;
+  cfg.cluster.num_workers = 4;
+  cfg.cluster.fixed_train_seconds = 2.0;
+  cfg.cluster.faults.mtbf_seconds = 20.0;
+  cfg.cluster.faults.ckpt_write_fault_rate = 0.2;
+  cfg.cluster.faults.ckpt_read_fault_rate = 0.2;
+  SpanTracer& tracer = SpanTracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  const Trace trace = run_nas(app, cfg).trace;
+  tracer.set_enabled(false);
+  const prof::CriticalPathInput in = prof::critical_path_input_from_events(tracer.events());
+  tracer.clear();
+  ASSERT_GT(trace.crashed_attempts, 0);
+  ASSERT_FALSE(in.faults.empty());
+  for (const prof::FaultSpan& f : in.faults) EXPECT_LE(f.finish, trace.makespan + 1e-9);
+  const prof::CriticalPathReport r = prof::analyze_critical_path(in);
+  EXPECT_NEAR(r.t0, 0.0, 1e-9);
+  EXPECT_NEAR(r.worker_seconds / r.workers, trace.makespan, 1e-6);
+  EXPECT_NEAR(r.share_sum, 1.0, 1e-9);
+}
+
 TEST(CriticalPath, EmptyInputYieldsEmptyReport) {
   const prof::CriticalPathReport r = prof::analyze_critical_path({});
   EXPECT_TRUE(r.path.empty());
